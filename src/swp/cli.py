@@ -146,8 +146,9 @@ def cmd_simulate(args) -> int:
             scenario.saturating_params(), scenario.rho0, dt=dt, t_end=t_end, snapshot_every=snap
         )
     else:
+        budget_params = scenario.budget_params()
         result = simulate_budget(
-            scenario.budget_params(), scenario.rho0, dt=dt, t_end=t_end, snapshot_every=snap
+            budget_params, scenario.rho0, dt=dt, t_end=t_end, snapshot_every=snap
         )
 
     _emit(args, f"model = {result.model}")
@@ -174,7 +175,7 @@ def cmd_simulate(args) -> int:
         slack = 1e-8 * H[0]
         rises = np.nonzero(H[1:] - H[:-1] > slack)[0]
         verdict = "yes" if rises.size == 0 else f"no (first increase at step {rises[0] + 1})"
-        if not scenario.budget_params().assumption.holds:
+        if not budget_params.assumption.holds:
             verdict += " [observational: positivity assumption fails]"
         _emit(args, f"entropy monotone: {verdict}")
 

@@ -7,12 +7,14 @@ bit-exact.  Column layouts are frozen and documented in
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import AgeProfile
+from .numerics import AgeGrid, AgeProfile
 from .results import SimulationResult
 
 __all__ = [
@@ -23,20 +25,39 @@ __all__ = [
     "read_timeseries",
 ]
 
+_BLOCK_ROWS = 256
+
 
 def write_columns(path: str | Path, names: list[str], columns: list[np.ndarray]) -> Path:
     """Write named columns of equal length as CSV; returns the path."""
+    _check_columns(names, columns)
+    return _write_cells(path, names, [_cells(col) for col in columns])
+
+
+def _check_columns(names: list[str], columns: list) -> None:
     if len(names) != len(columns):
         raise ValidationError("one name per column required")
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValidationError(f"columns have unequal lengths {sorted(lengths)}")
+
+
+def _cells(col) -> Iterator[str]:
+    """The column's values as ``repr`` of Python floats, formatted lazily."""
+    return map(repr, np.asarray(col, dtype=float).tolist())
+
+
+def _write_cells(path: str | Path, names: list[str], cells: list[Iterable[str]]) -> Path:
+    """Write already formatted columns to ``path`` as CSV under a header row.
+
+    Rows are joined and written in blocks, so the text held at once is one
+    block, not the whole file.
+    """
     path = Path(path)
-    rows = [",".join(names)]
-    rows.extend(
-        ",".join(repr(float(col[i])) for col in columns) for i in range(len(columns[0]) if columns else 0)
-    )
-    path.write_text("\n".join(rows) + "\n")
+    rows = map(",".join, chain([names], zip(*cells)))
+    with open(path, "w") as fh:
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            fh.write("\n".join(block) + "\n")
     return path
 
 
@@ -63,7 +84,7 @@ def write_profile(path: str | Path, profile: AgeProfile, value_name: str = "valu
 
 
 def _snapshot_name(t: float) -> str:
-    return f"profile_t{t:g}.csv"
+    return f"profile_t{t:.15g}.csv"
 
 
 def write_timeseries(result: SimulationResult, out_dir: str | Path) -> list[Path]:
@@ -71,28 +92,43 @@ def write_timeseries(result: SimulationResult, out_dir: str | Path) -> list[Path
 
     Always: ``headcount.csv`` and ``hiring.csv`` (with the three-term
     decomposition for budget runs) plus one ``profile_t<time>.csv`` per
-    snapshot.  Budget runs add ``budget.csv`` and ``entropy.csv``.
+    snapshot.  Budget runs add ``budget.csv`` and ``entropy.csv``.  The
+    time column and each grid's age column are formatted once and shared
+    by every file that carries them.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t = np.asarray(result.times)
-    files = [write_columns(out / "headcount.csv", ["t", "headcount"], [t, np.asarray(result.headcount)])]
+    snap_names = [_snapshot_name(float(t)) for t in result.snapshot_times]
+    if len(set(snap_names)) != len(snap_names):
+        clash = sorted({n for n in snap_names if snap_names.count(n) > 1})
+        raise ValidationError(f"snapshot times map to the same file name: {', '.join(clash)}")
 
+    series = [("headcount.csv", ["t", "headcount"], [result.headcount])]
     hiring_names = ["t", "hiring"]
-    hiring_cols = [t, np.asarray(result.hiring)]
+    hiring_cols = [result.hiring]
     if result.hiring_parts is not None:
         for key in ("attrition", "retirement", "aging"):
             hiring_names.append(f"{key}_term")
-            hiring_cols.append(np.asarray(result.hiring_parts[key]))
-    files.append(write_columns(out / "hiring.csv", hiring_names, hiring_cols))
-
+            hiring_cols.append(result.hiring_parts[key])
+    series.append(("hiring.csv", hiring_names, hiring_cols))
     if result.budget is not None:
-        files.append(write_columns(out / "budget.csv", ["t", "budget"], [t, np.asarray(result.budget)]))
+        series.append(("budget.csv", ["t", "budget"], [result.budget]))
     if result.entropy is not None:
-        files.append(write_columns(out / "entropy.csv", ["t", "entropy"], [t, np.asarray(result.entropy)]))
+        series.append(("entropy.csv", ["t", "entropy"], [result.entropy]))
 
-    for snap_t, snap in zip(result.snapshot_times, result.snapshots):
-        files.append(write_profile(out / _snapshot_name(float(snap_t)), snap, value_name="rho"))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    t_cells = list(_cells(result.times))
+    files = []
+    for file_name, names, cols in series:
+        _check_columns(names, [result.times, *cols])
+        files.append(_write_cells(out / file_name, names, [t_cells, *map(_cells, cols)]))
+    del t_cells  # hold one shared column at a time: it bounds peak memory
+
+    z_cells: dict[AgeGrid, list[str]] = {}
+    for file_name, snap in zip(snap_names, result.snapshots):
+        if snap.grid not in z_cells:
+            z_cells[snap.grid] = list(_cells(snap.grid.nodes))
+        cells = [z_cells[snap.grid], _cells(snap.values)]
+        files.append(_write_cells(out / file_name, ["z", "rho"], cells))
     return files
 
 

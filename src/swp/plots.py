@@ -108,7 +108,7 @@ def render_line_chart(
         color = _COLORS[i % len(_COLORS)]
         px = _scale(np.asarray(xs, float), x_lo, x_hi, MARGIN_LEFT, MARGIN_LEFT + PLOT_W)
         py = _scale(np.asarray(ys, float), y_lo, y_hi, MARGIN_TOP + PLOT_H, MARGIN_TOP)
-        points = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+        points = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

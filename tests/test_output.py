@@ -18,7 +18,27 @@ from swp import (
 )
 
 
+def reference_csv(names, columns):
+    """The byte format by definition: ``repr(float(cell))`` for every cell."""
+    rows = [",".join(names)]
+    rows.extend(
+        ",".join(repr(float(col[i])) for col in columns) for i in range(len(columns[0]) if columns else 0)
+    )
+    return "\n".join(rows) + "\n"
+
+
 class TestColumns:
+    def test_bytes_match_per_cell_repr(self, tmp_path):
+        names = ["edge", "int", "f32"]
+        columns = [
+            np.array([-0.0, 5e-324, 1e308, np.nan, -np.inf, 0.1 + 0.2]),
+            np.array([0, -3, 7, 2**53 + 1, 10**15, 1], dtype=np.int64),
+            np.array([0.1, -2.5, 1e-30, 3.4e38, 0.0, 1 / 3], dtype=np.float32),
+        ]
+        columns = [np.tile(col, 100) for col in columns]  # rows span several write blocks
+        p = write_columns(tmp_path / "edge.csv", names, columns)
+        assert p.read_text() == reference_csv(names, columns)
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         a = rng.standard_normal(40) * 1e6
@@ -72,6 +92,29 @@ def budget_run():
 
 
 class TestTimeseries:
+    def test_bytes_match_per_cell_repr(self, scenarios_dir, tmp_path):
+        sc = swp.load_scenario(scenarios_dir / "bu-a-budget.json")
+        r = swp.simulate_budget(
+            sc.budget_params(), sc.rho0, dt=sc.dt, t_end=sc.t_end, snapshot_every=sc.snapshot_every
+        )
+        t = r.times
+        parts = [r.hiring_parts[k] for k in ("attrition", "retirement", "aging")]
+        expected = {
+            "headcount.csv": (["t", "headcount"], [t, r.headcount]),
+            "hiring.csv": (
+                ["t", "hiring", "attrition_term", "retirement_term", "aging_term"],
+                [t, r.hiring, *parts],
+            ),
+            "budget.csv": (["t", "budget"], [t, r.budget]),
+            "entropy.csv": (["t", "entropy"], [t, r.entropy]),
+        }
+        for snap_t, snap in zip(r.snapshot_times, r.snapshots):
+            expected[f"profile_t{snap_t:g}.csv"] = (["z", "rho"], [snap.grid.nodes, snap.values])
+        files = write_timeseries(r, tmp_path)
+        assert [f.name for f in files] == list(expected)
+        for f in files:
+            assert f.read_text() == reference_csv(*expected[f.name]), f.name
+
     def test_file_set_for_budget_model(self, budget_run, tmp_path):
         files = write_timeseries(budget_run, tmp_path)
         names = {f.name for f in files}
@@ -109,3 +152,41 @@ class TestTimeseries:
         assert "entropy.csv" not in names
         cols = read_columns(tmp_path / "hiring.csv")
         assert list(cols) == ["t", "hiring"]
+
+
+class TestSnapshotNames:
+    @staticmethod
+    def _result(times):
+        g = build_grid(20.0, 25.0, 1.0)
+        snaps = tuple(constant_profile(g, 1.0 + i) for i in range(len(times)))
+        times = np.asarray(times, dtype=float)
+        return swp.SimulationResult(
+            model="saturating",
+            grid=g,
+            times=times,
+            headcount=np.array([swp.integrate(s) for s in snaps]),
+            hiring=np.zeros(len(times)),
+            snapshot_times=times,
+            snapshots=snaps,
+        )
+
+    def test_close_and_large_times_get_their_own_files(self, tmp_path):
+        result = self._result([0.0, 123456.0, 123456.5, 1234567.0, 0.15000000000000002])
+        files = write_timeseries(result, tmp_path)
+        names = [f.name for f in files if f.name.startswith("profile_t")]
+        assert names == [
+            "profile_t0.csv",
+            "profile_t123456.csv",
+            "profile_t123456.5.csv",
+            "profile_t1234567.csv",
+            "profile_t0.15.csv",
+        ]
+        found = read_timeseries(tmp_path)
+        for name, snap in zip(names, result.snapshots):
+            np.testing.assert_array_equal(found[name]["rho"], snap.values)
+
+    def test_names_that_still_collide_are_rejected(self, tmp_path):
+        result = self._result([0.0, 1.0, 1.0 + 2**-52])
+        with pytest.raises(ValidationError, match="profile_t1.csv"):
+            write_timeseries(result, tmp_path / "out")
+        assert not (tmp_path / "out").exists()

@@ -14,6 +14,8 @@ from swp.plots import (
     PLOT_H,
     PLOT_W,
     WIDTH,
+    _fmt,
+    _scale,
     cost_curve_plot,
     profile_plot,
     render_line_chart,
@@ -61,6 +63,22 @@ def test_marker_lands_at_scaled_age(tmp_path):
     assert m is not None
     expected = x_to_px(53.5, 20.0, 70.0)
     assert float(m.group(1)) == pytest.approx(expected, abs=0.005)
+
+
+def test_polyline_points_match_per_point_fmt(tmp_path):
+    rng = np.random.default_rng(5)
+    xs = np.sort(rng.uniform(-3.0, 40.0, 257))
+    series = [("a", xs, rng.standard_normal(257) * 1e3), ("b", xs[:9], np.arange(9.0) / 8)]
+    p = render_line_chart(tmp_path / "p.svg", "t", series)
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo = min(float(ys.min()) for _, _, ys in series)
+    y_hi = max(float(ys.max()) for _, _, ys in series)
+    found = re.findall(r'<polyline [^>]*points="([^"]+)"', p.read_text())
+    assert len(found) == len(series)
+    for text, (_, sx, sy) in zip(found, series):
+        px = _scale(sx, x_lo, x_hi, MARGIN_LEFT, MARGIN_LEFT + PLOT_W)
+        py = _scale(sy, y_lo, y_hi, MARGIN_TOP + PLOT_H, MARGIN_TOP)
+        assert text == " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
 
 
 def test_svg_is_well_formed_with_fixed_viewport(tmp_path):
