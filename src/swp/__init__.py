@@ -12,7 +12,6 @@ from .budget import (
     StationaryFamily,
     boundary_ratio,
     budget_total,
-    check_budget_assumption,
     default_budget_dt,
     hiring_rate,
     relative_entropy,
@@ -40,9 +39,7 @@ from .numerics import (
     interpolate_profile,
     l1_distance,
     normalize_distribution,
-    profile_from_callable,
     steady_shape,
-    sup_distance,
 )
 from .optimizer import (
     KnowledgeConstraint,

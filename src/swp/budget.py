@@ -21,27 +21,28 @@ preserving whenever the hire coefficients  mu*omega - omega' >= 0.
 The finite differences of omega are forward (one-sided at z_max); with that
 choice the continuous three-term decomposition above coincides term by term
 with the nodal sums used by the stepper.
+
+The time loop is the one both models share, :func:`swp.results.march`; this
+module supplies the hiring functional, with the run's weight vectors
+computed once, and the update expression (:func:`_stepper`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateScenarioError, StepSizeError, ValidationError
+from .errors import DegenerateScenarioError, ValidationError
 from .numerics import (
     AgeGrid,
     AgeProfile,
-    CumulativeAttrition,
-    cumulative_attrition,
+    require_nonnegative_attrition,
     require_normalized,
     steady_shape,
     _same_grid,
 )
-from .results import PopulationState, SimulationResult, snapshot_mask, step_count
-
-_CFL_SLACK = 1e-12
+from .results import PopulationState, SimulationResult, march, max_stable_dt, step_state
 
 
 @dataclass(frozen=True)
@@ -55,24 +56,27 @@ class BudgetAssumptionReport:
 
 @dataclass(frozen=True)
 class BudgetParams:
-    """Model data: attrition, hiring distribution and cost profile."""
+    """Model data: attrition, hiring distribution and cost profile.
+
+    ``hire_cost`` is the budget absorbed by a unit hiring rate,
+    dz * sum_{j>=1} omega_j gamma_j.
+    """
 
     mu: AgeProfile
     gamma: AgeProfile
     omega: AgeProfile
-    attrition: CumulativeAttrition = field(repr=False)
     omega_prime: np.ndarray = field(repr=False)
     assumption: BudgetAssumptionReport
+    hire_cost: float
 
     @property
     def grid(self) -> AgeGrid:
         return self.mu.grid
 
     @property
-    def hire_cost(self) -> float:
-        """Budget absorbed by a unit hiring rate: dz * sum_{j>=1} omega_j gamma_j."""
-        dz = self.grid.dz
-        return float((self.omega.values[1:] * self.gamma.values[1:]).sum() * dz)
+    def mu_max(self) -> float:
+        """Largest attrition rate; the explicit scheme's step bound depends on it."""
+        return float(self.mu.values.max())
 
     @staticmethod
     def build(mu: AgeProfile, gamma: AgeProfile, omega: AgeProfile) -> "BudgetParams":
@@ -88,14 +92,13 @@ class BudgetParams:
         wp = np.empty_like(w)
         wp[:-1] = (w[1:] - w[:-1]) / dz
         wp[-1] = (w[-1] - w[-2]) / dz  # one-sided at z_max
-        params = BudgetParams(
-            mu, gamma, omega, cumulative_attrition(mu), wp, _assumption(mu, w, wp, mu.grid)
-        )
-        if params.hire_cost <= 0:
+        require_nonnegative_attrition(mu)
+        hire_cost = float((w[1:] * gamma.values[1:]).sum() * dz)
+        if hire_cost <= 0:
             raise DegenerateScenarioError(
                 "hiring distribution carries no cost weight; budget hiring is undefined"
             )
-        return params
+        return BudgetParams(mu, gamma, omega, wp, _assumption(mu, w, wp, mu.grid), hire_cost)
 
 
 def _assumption(mu: AgeProfile, w: np.ndarray, wp: np.ndarray, grid: AgeGrid) -> BudgetAssumptionReport:
@@ -106,10 +109,6 @@ def _assumption(mu: AgeProfile, w: np.ndarray, wp: np.ndarray, grid: AgeGrid) ->
         worst_age=float(grid.nodes[worst]),
         worst_margin=float(margins[worst]),
     )
-
-
-def check_budget_assumption(params: BudgetParams) -> BudgetAssumptionReport:
-    return params.assumption
 
 
 def budget_total(rho: AgeProfile, params: BudgetParams) -> float:
@@ -125,16 +124,27 @@ def hiring_rate(state: PopulationState, params: BudgetParams) -> tuple[float, di
     the standing workforce, entering with a minus sign).  The three parts
     sum to h exactly.
     """
-    rho = state.rho.values
-    w = params.omega.values
-    mu = params.mu.values
-    dz = params.grid.dz
-    denom = params.hire_cost
-    attrition = float((mu[1:] * w[1:] * rho[1:]).sum() * dz) / denom
-    retirement = float(w[-1] * rho[-1]) / denom
-    aging = -float((params.omega_prime[1:-1] * rho[1:-1]).sum() * dz) / denom
+    attrition, retirement, aging = _hiring_terms(params)(state.rho.values)
     h = attrition + retirement + aging
     return h, {"attrition": attrition, "retirement": retirement, "aging": aging}
+
+
+def _hiring_terms(params: BudgetParams):
+    """(attrition, retirement, aging) of a density array, weights computed once."""
+    w = params.omega.values
+    muw1 = params.mu.values[1:] * w[1:]
+    w_end = w[-1]
+    wp_inner = params.omega_prime[1:-1]
+    dz = params.grid.dz
+    denom = params.hire_cost
+
+    def terms(rho: np.ndarray) -> tuple[float, float, float]:
+        attrition = float((muw1 * rho[1:]).sum() * dz) / denom
+        retirement = float(w_end * rho[-1]) / denom
+        aging = -float((wp_inner * rho[1:-1]).sum() * dz) / denom
+        return attrition, retirement, aging
+
+    return terms
 
 
 def _conserving_rate(rho: np.ndarray, params: BudgetParams, h: float) -> float:
@@ -167,32 +177,26 @@ def boundary_ratio(state: PopulationState, params: BudgetParams) -> float:
 
 def default_budget_dt(params: BudgetParams, safety: float = 0.9) -> float:
     """Largest stable step scaled by a safety factor."""
+    return max_stable_dt(params.grid, params.mu_max, safety)
+
+
+def _stepper(params: BudgetParams, dt: float):
+    """Update of nodes 1..n for hiring rate h: the explicit conservative upwind scheme."""
     dz = params.grid.dz
-    mu_max = float(params.mu.values.max())
-    return safety * dz / (1.0 + dz * mu_max)
+    survive = 1.0 - params.mu.values[1:] * dt
+    gamma1 = params.gamma.values[1:]
+
+    def update(rho: np.ndarray, h: float) -> np.ndarray:
+        return rho[1:] * survive + dt * (h * gamma1 - (rho[1:] - rho[:-1]) / dz)
+
+    return update
 
 
 def step_budget(state: PopulationState, params: BudgetParams, dt: float) -> PopulationState:
     """Advance one step with the explicit conservative upwind scheme."""
-    _check_budget_dt(dt, params)
-    rho = state.rho.values
-    if np.any(rho < 0):
-        raise ValidationError("state density has negative entries")
     h, _ = hiring_rate(state, params)
-    new = _advance(rho, params, dt, _conserving_rate(rho, params, h))
-    return PopulationState(state.t + dt, state.rho.with_values(new))
-
-
-def _advance(rho: np.ndarray, params: BudgetParams, dt: float, h: float) -> np.ndarray:
-    dz = params.grid.dz
-    mu = params.mu.values
-    gamma = params.gamma.values
-    new = np.empty_like(rho)
-    new[0] = 0.0
-    new[1:] = rho[1:] * (1.0 - mu[1:] * dt) + dt * (
-        h * gamma[1:] - (rho[1:] - rho[:-1]) / dz
-    )
-    return new
+    h = _conserving_rate(state.rho.values, params, h)
+    return step_state(state, dt, params.mu_max, h, _stepper(params, dt))
 
 
 @dataclass(frozen=True)
@@ -227,13 +231,23 @@ def relative_entropy(state: PopulationState, family: StationaryFamily, params: B
     is positive.  Along budget-model trajectories H is nonincreasing
     whenever the hire coefficients mu*omega - omega' are nonnegative.
     """
-    rho = state.rho.values
-    base = family.base.values
-    w = params.omega.values
-    mask = base > 0.0
-    vals = np.zeros_like(rho)
-    vals[mask] = w[mask] * rho[mask] ** 2 / base[mask]
-    return float(vals[1:].sum() * params.grid.dz)
+    return _entropy(params, family.base)(state.rho.values)
+
+
+def _entropy(params: BudgetParams, base: AgeProfile):
+    """Relative entropy of a density array, mask and weights computed once."""
+    b = base.values
+    mask = b > 0.0
+    w_mask = params.omega.values[mask]
+    b_mask = b[mask]
+    vals = np.zeros_like(b)
+    dz = params.grid.dz
+
+    def entropy(rho: np.ndarray) -> float:
+        vals[mask] = w_mask * rho[mask] ** 2 / b_mask
+        return float(vals[1:].sum() * dz)
+
+    return entropy
 
 
 def simulate_budget(
@@ -251,20 +265,25 @@ def simulate_budget(
     the positivity assumption mu*omega >= omega' fails the entropy series
     is still recorded but flagged observational in ``notes``.
     """
-    grid = params.grid
     _same_grid(params.mu, rho0)
-    if np.any(rho0.values < 0):
-        raise ValidationError("initial density has negative entries")
     if dt is None:
         dt = default_budget_dt(params)
-    _check_budget_dt(dt, params)
-    n_steps = step_count(t_end, dt)
-    keep = snapshot_mask(n_steps, dt, snapshot_every)
+    base = stationary_family(params, rho0).base
+    terms = _hiring_terms(params)
+    entropy_of = _entropy(params, base)
+    w1 = params.omega.values[1:]
+    dz = params.grid.dz
+    rows: list[tuple[float, ...]] = []  # budget, entropy, attrition, retirement, aging
 
-    rho_arr = rho0.values.copy()
-    rho_arr[0] = 0.0
-    rho = AgeProfile(grid, rho_arr)
-    family = stationary_family(params, rho)
+    def rate(rho: np.ndarray, P: float) -> float:
+        attrition, retirement, aging = terms(rho)
+        total = float((w1 * rho[1:]).sum() * dz)
+        rows.append((total, entropy_of(rho), attrition, retirement, aging))
+        return attrition + retirement + aging
+
+    result = march(
+        "budget", rho0, dt, t_end, snapshot_every, params.mu_max, rate, _stepper(params, dt)
+    )
 
     notes: list[str] = []
     if not params.assumption.holds:
@@ -276,63 +295,11 @@ def simulate_budget(
     if params.gamma.values[0] > 0:
         notes.append("hiring mass at the entry node is inert (boundary holds rho = 0)")
 
-    times = np.arange(n_steps + 1) * dt
-    headcount = np.empty(n_steps + 1)
-    budget = np.empty(n_steps + 1)
-    entropy = np.empty(n_steps + 1)
-    hiring = np.empty(n_steps + 1)
-    parts = {
-        "attrition": np.empty(n_steps + 1),
-        "retirement": np.empty(n_steps + 1),
-        "aging": np.empty(n_steps + 1),
-    }
-    snaps: list[AgeProfile] = []
-    snap_times: list[float] = []
-
-    state = PopulationState(0.0, rho)
-    for k in range(n_steps + 1):
-        arr = state.rho.values
-        headcount[k] = float(arr[:-1].sum() * grid.dz)
-        budget[k] = budget_total(state.rho, params)
-        entropy[k] = relative_entropy(state, family, params)
-        h, p = hiring_rate(state, params)
-        hiring[k] = h
-        for key in parts:
-            parts[key][k] = p[key]
-        if keep[k]:
-            snaps.append(state.rho)
-            snap_times.append(times[k])
-        if k == n_steps:
-            break
-        state = PopulationState(
-            times[k + 1],
-            state.rho.with_values(_advance(arr, params, dt, _conserving_rate(arr, params, h))),
-        )
-
-    return SimulationResult(
-        model="budget",
-        grid=grid,
-        times=times,
-        headcount=headcount,
-        hiring=hiring,
-        snapshot_times=np.array(snap_times),
-        snapshots=tuple(snaps),
+    budget, entropy, *parts = np.array(rows).T
+    return replace(
+        result,
         budget=budget,
-        hiring_parts=parts,
+        hiring_parts=dict(zip(("attrition", "retirement", "aging"), parts)),
         entropy=entropy,
         notes=tuple(notes),
     )
-
-
-def _check_budget_dt(dt: float, params: BudgetParams) -> None:
-    if not (dt > 0):
-        raise StepSizeError(f"time step must be positive, got {dt}")
-    dz = params.grid.dz
-    mu_max = float(params.mu.values.max())
-    margin = 1.0 - mu_max * dt - dt / dz
-    if margin < -_CFL_SLACK:
-        bound = dz / (1.0 + dz * mu_max)
-        raise StepSizeError(
-            f"time step {dt:g} violates the stability bound "
-            f"1 - max(mu)*dt - dt/dz >= 0 (requires dt <= {bound:g})"
-        )

@@ -86,10 +86,6 @@ class AgeProfile:
         return self.values
 
 
-def profile_from_callable(grid: AgeGrid, fn) -> AgeProfile:
-    return AgeProfile(grid, np.array([fn(z) for z in grid.nodes], dtype=float))
-
-
 def constant_profile(grid: AgeGrid, value: float) -> AgeProfile:
     return AgeProfile(grid, np.full(grid.n + 1, float(value)))
 
@@ -117,11 +113,6 @@ def integrate(p: AgeProfile) -> float:
 def l1_distance(p: AgeProfile, q: AgeProfile) -> float:
     _same_grid(p, q)
     return float(np.abs(p.values[:-1] - q.values[:-1]).sum() * p.grid.dz)
-
-
-def sup_distance(p: AgeProfile, q: AgeProfile) -> float:
-    _same_grid(p, q)
-    return float(np.max(np.abs(p.values - q.values)))
 
 
 def normalize_distribution(p: AgeProfile) -> AgeProfile:
@@ -154,13 +145,18 @@ class CumulativeAttrition:
             object.__setattr__(self, name, arr)
 
 
-def cumulative_attrition(mu: AgeProfile) -> CumulativeAttrition:
+def require_nonnegative_attrition(mu: AgeProfile) -> None:
+    """Reject attrition profiles with a negative rate, naming the worst age."""
     if np.any(mu.values < 0):
         worst = int(np.argmin(mu.values))
         raise ValidationError(
             f"attrition rate negative at age {mu.grid.nodes[worst]:g} "
             f"({mu.values[worst]:g})"
         )
+
+
+def cumulative_attrition(mu: AgeProfile) -> CumulativeAttrition:
+    require_nonnegative_attrition(mu)
     dz = mu.grid.dz
     M = np.concatenate(([0.0], np.cumsum(mu.values[:-1]) * dz))
     return CumulativeAttrition(mu.grid, M, np.exp(-M))

@@ -1,4 +1,4 @@
-"""Simulation state, result containers and steady-state detection."""
+"""Simulation state, result containers, the shared time loop and steady-state detection."""
 
 from __future__ import annotations
 
@@ -7,8 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import StepSizeError, ValidationError
 from .numerics import AgeGrid, AgeProfile, integrate, l1_distance
+
+# Relative slack on the step bound, so a dt computed as the bound itself passes.
+_CFL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,91 @@ def snapshot_mask(n_steps: int, dt: float, snapshot_every: float | None) -> np.n
     stride = max(1, round(snapshot_every / dt))
     keep[::stride] = True
     return keep
+
+
+def max_stable_dt(grid: AgeGrid, mu_max: float, safety: float = 1.0) -> float:
+    """Largest stable step dz / (1 + dz * mu_max), scaled by ``safety``.
+
+    ``mu_max`` is the largest attrition rate the scheme treats explicitly:
+    max(mu) for the budget scheme, 0 for the implicit saturating scheme
+    (whose bound is dz).  Equivalently 1 - mu_max*dt - dt/dz >= 0.
+    """
+    return safety * grid.dz / (1.0 + grid.dz * mu_max)
+
+
+def check_dt(dt: float, grid: AgeGrid, mu_max: float) -> None:
+    """Reject a step that is not positive or exceeds :func:`max_stable_dt`."""
+    if not (dt > 0):
+        raise StepSizeError(f"time step must be positive, got {dt}")
+    bound = max_stable_dt(grid, mu_max)
+    if dt > bound * (1.0 + _CFL_SLACK):
+        rule = "1 - max(mu)*dt - dt/dz >= 0" if mu_max > 0 else "dt <= dz"
+        raise StepSizeError(
+            f"time step {dt:g} violates the stability bound {rule} (requires dt <= {bound:g})"
+        )
+
+
+def advance(rho: np.ndarray, update, h: float) -> np.ndarray:
+    """Next density: entry node pinned to zero, nodes 1..n from ``update(rho, h)``."""
+    new = np.empty_like(rho)
+    new[0] = 0.0
+    new[1:] = update(rho, h)
+    return new
+
+
+def step_state(
+    state: PopulationState, dt: float, mu_max: float, h: float, update
+) -> PopulationState:
+    """One checked step of a single state with hiring rate ``h``."""
+    check_dt(dt, state.rho.grid, mu_max)
+    rho = state.rho.values
+    if np.any(rho < 0):
+        raise ValidationError("state density has negative entries")
+    return PopulationState(state.t + dt, state.rho.with_values(advance(rho, update, h)))
+
+
+def march(
+    model: str,
+    rho0: AgeProfile,
+    dt: float,
+    t_end: float,
+    snapshot_every: float | None,
+    mu_max: float,
+    rate,
+    update,
+) -> SimulationResult:
+    """The time loop both transport models share.
+
+    The entry node of rho0 is forced to zero (hiring enters through the
+    source term, not the boundary).  Each step records the headcount P and
+    the hiring rate ``rate(rho, P)``, keeps the profile at snapshot steps and
+    moves nodes 1..n on with ``update(rho, h)``.
+    """
+    grid = rho0.grid
+    check_dt(dt, grid, mu_max)
+    if np.any(rho0.values < 0):
+        raise ValidationError("initial density has negative entries")
+    n_steps = step_count(t_end, dt)
+    keep = snapshot_mask(n_steps, dt, snapshot_every)
+
+    rho = rho0.values.copy()
+    rho[0] = 0.0
+    times = np.arange(n_steps + 1) * dt
+    headcount = np.empty(n_steps + 1)
+    hiring = np.empty(n_steps + 1)
+    snaps: list[AgeProfile] = []
+
+    for k in range(n_steps + 1):
+        P = float(rho[:-1].sum() * grid.dz)
+        headcount[k] = P
+        hiring[k] = rate(rho, P)
+        if keep[k]:
+            snaps.append(AgeProfile(grid, rho))
+        if k == n_steps:
+            break
+        rho = advance(rho, update, hiring[k])
+
+    return SimulationResult(model, grid, times, headcount, hiring, times[keep], tuple(snaps))
 
 
 def detect_steady_state(

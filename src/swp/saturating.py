@@ -14,7 +14,10 @@ semi-implicit upwind scheme
                    + dt * a_k * gamma_j] / (1 + mu_j * dt),      j >= 1,
 
 with rho_0 = 0 at the entry boundary and a_k evaluated from the current
-headcount.  The scheme is stable and positivity-preserving for dt <= dz.
+headcount.  The scheme is stable and positivity-preserving for dt <= dz
+(:func:`swp.results.max_stable_dt` with no explicit attrition).  The time
+loop is the one both models share, :func:`swp.results.march`; this module
+supplies the hiring response and the update expression (:func:`_stepper`).
 
 Whether hiring can sustain the workforce is governed by the recruitment
 index beta: the expected discounted tenure of one hire, averaged over the
@@ -26,30 +29,28 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleCalibrationError, StepSizeError, ValidationError
+from .errors import InfeasibleCalibrationError, ValidationError
 from .numerics import (
     AgeGrid,
     AgeProfile,
-    CumulativeAttrition,
     cumulative_attrition,
     discounted_tenure,
     integrate,
+    require_nonnegative_attrition,
     require_normalized,
     steady_shape,
     _same_grid,
 )
-from .results import PopulationState, SimulationResult, snapshot_mask, step_count
+from .results import PopulationState, SimulationResult, march, step_state
 
 # Exponential attrition decay is contractive on windows of length span when
 # beta stays below this bound; larger beta still converges in practice but
 # is flagged as outside the certified window.
 TECHNICAL_WINDOW = (1.0, 9.0)
-
-_CFL_SLACK = 1e-12
 
 
 class Regime(enum.Enum):
@@ -66,7 +67,6 @@ class SaturatingParams:
     alpha: float
     mu: AgeProfile
     gamma: AgeProfile
-    attrition: CumulativeAttrition = field(repr=False)
 
     @property
     def grid(self) -> AgeGrid:
@@ -78,7 +78,8 @@ class SaturatingParams:
             raise ValidationError(f"saturation constant must be positive, got {alpha}")
         _same_grid(mu, gamma)
         require_normalized(gamma)
-        return SaturatingParams(float(alpha), mu, gamma, cumulative_attrition(mu))
+        require_nonnegative_attrition(mu)
+        return SaturatingParams(float(alpha), mu, gamma)
 
 
 def recruitment_index(mu: AgeProfile, gamma: AgeProfile) -> float:
@@ -162,21 +163,22 @@ def hiring_response(params: SaturatingParams, headcount: float) -> float:
     return headcount / (1.0 + params.alpha * headcount * headcount)
 
 
+def _stepper(params: SaturatingParams, dt: float):
+    """Update of nodes 1..n for hiring rate a: the semi-implicit upwind scheme."""
+    lam = dt / params.grid.dz
+    gamma1 = params.gamma.values[1:]
+    mu_fac = 1.0 + params.mu.values[1:] * dt
+
+    def update(rho: np.ndarray, a: float) -> np.ndarray:
+        return (rho[1:] - lam * (rho[1:] - rho[:-1]) + dt * a * gamma1) / mu_fac
+
+    return update
+
+
 def step_saturating(state: PopulationState, params: SaturatingParams, dt: float) -> PopulationState:
     """Advance one time step with the semi-implicit upwind scheme."""
-    grid = params.grid
-    _check_dt(dt, grid.dz)
-    rho = state.rho.values
-    if np.any(rho < 0):
-        raise ValidationError("state density has negative entries")
-    lam = dt / grid.dz
     a = hiring_response(params, integrate(state.rho))
-    new = np.empty_like(rho)
-    new[0] = 0.0
-    new[1:] = (rho[1:] - lam * (rho[1:] - rho[:-1]) + dt * a * params.gamma.values[1:]) / (
-        1.0 + params.mu.values[1:] * dt
-    )
-    return PopulationState(state.t + dt, state.rho.with_values(new))
+    return step_state(state, dt, 0.0, a, _stepper(params, dt))
 
 
 def simulate_saturating(
@@ -186,61 +188,10 @@ def simulate_saturating(
     t_end: float,
     snapshot_every: float | None = None,
 ) -> SimulationResult:
-    """Run the saturating model from rho0 up to t_end.
-
-    The entry node of the initial profile is forced to zero (hiring enters
-    through the source term, not the boundary).  Headcount and hiring rate
-    are recorded at every step, profiles at snapshot times.
-    """
-    grid = params.grid
+    """Run the saturating model from rho0 up to t_end (see :func:`swp.results.march`)."""
     _same_grid(params.mu, rho0)
-    _check_dt(dt, grid.dz)
-    if np.any(rho0.values < 0):
-        raise ValidationError("initial density has negative entries")
-    n_steps = step_count(t_end, dt)
-    keep = snapshot_mask(n_steps, dt, snapshot_every)
-
-    gamma1 = params.gamma.values[1:]
-    mu_fac = 1.0 + params.mu.values[1:] * dt
-    lam = dt / grid.dz
-
-    rho = rho0.values.copy()
-    rho[0] = 0.0
-    times = np.arange(n_steps + 1) * dt
-    headcount = np.empty(n_steps + 1)
-    hiring = np.empty(n_steps + 1)
-    snaps: list[AgeProfile] = []
-    snap_times: list[float] = []
-
-    for k in range(n_steps + 1):
-        P = float(rho[:-1].sum() * grid.dz)
-        headcount[k] = P
-        hiring[k] = hiring_response(params, P)
-        if keep[k]:
-            snaps.append(AgeProfile(grid, rho))
-            snap_times.append(times[k])
-        if k == n_steps:
-            break
-        new = np.empty_like(rho)
-        new[0] = 0.0
-        new[1:] = (rho[1:] - lam * (rho[1:] - rho[:-1]) + dt * hiring[k] * gamma1) / mu_fac
-        rho = new
-
-    return SimulationResult(
-        model="saturating",
-        grid=grid,
-        times=times,
-        headcount=headcount,
-        hiring=hiring,
-        snapshot_times=np.array(snap_times),
-        snapshots=tuple(snaps),
+    # attrition is implicit, so no rate enters the step bound: dt <= dz
+    return march(
+        "saturating", rho0, dt, t_end, snapshot_every, 0.0,
+        lambda rho, P: hiring_response(params, P), _stepper(params, dt),
     )
-
-
-def _check_dt(dt: float, dz: float) -> None:
-    if not (dt > 0):
-        raise StepSizeError(f"time step must be positive, got {dt}")
-    if dt > dz * (1.0 + _CFL_SLACK):
-        raise StepSizeError(
-            f"time step {dt:g} violates the transport bound dt <= dz = {dz:g}"
-        )

@@ -19,13 +19,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .budget import BudgetParams, default_budget_dt
-from .errors import InfeasibleCalibrationError, StepSizeError, ValidationError
+from .errors import InfeasibleCalibrationError, ValidationError
 from .numerics import (
     AgeGrid,
     AgeProfile,
@@ -34,6 +34,7 @@ from .numerics import (
     interpolate_profile,
     normalize_distribution,
 )
+from .results import check_dt
 from .saturating import TECHNICAL_WINDOW, SaturatingParams, calibrate_alpha, recruitment_index
 
 MODELS = ("saturating", "budget", "optimize")
@@ -67,16 +68,18 @@ class Scenario:
     beta: float | None
     notices: tuple[str, ...]
     source: str | None = None
+    # model parameters, built (and validated) once by the loader
+    params: SaturatingParams | BudgetParams | None = field(default=None, repr=False, compare=False)
 
     def saturating_params(self) -> SaturatingParams:
         if self.model != "saturating":
             raise ValidationError(f"scenario models {self.model}, not saturating")
-        return SaturatingParams.build(self.alpha, self.mu, self.gamma)
+        return self.params
 
     def budget_params(self) -> BudgetParams:
         if self.model != "budget":
             raise ValidationError(f"scenario models {self.model}, not budget")
-        return BudgetParams.build(self.mu, self.gamma, self.omega)
+        return self.params
 
     def effective_dt(self) -> float:
         """The step actually used when the file does not fix one."""
@@ -242,6 +245,7 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
 
     alpha: float | None = None
     beta: float | None = None
+    params: SaturatingParams | BudgetParams | None = None
     experience_total: float | None = None
 
     if model == "saturating":
@@ -280,13 +284,12 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
                 "convergence diagnostics are observational"
             )
         # Constructing the params re-runs the model-level validation.
-        SaturatingParams.build(alpha, mu, gamma)
+        params = SaturatingParams.build(alpha, mu, gamma)
 
-    budget_params: BudgetParams | None = None
     if model == "budget":
-        budget_params = BudgetParams.build(mu, gamma, omega)
-        if not budget_params.assumption.holds:
-            rep = budget_params.assumption
+        params = BudgetParams.build(mu, gamma, omega)
+        if not params.assumption.holds:
+            rep = params.assumption
             notices.append(
                 f"budget positivity assumption mu*omega >= omega' fails at age "
                 f"{rep.worst_age:g} (margin {rep.worst_margin:.4g})"
@@ -321,8 +324,8 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
                 f"{label} must be positive", code="bad-value", path=f"$.time.{label}"
             )
 
-    if dt is not None and model in ("saturating", "budget"):
-        _precheck_cfl(model, dt, grid, mu)
+    if dt is not None and params is not None:
+        check_dt(dt, grid, params.mu_max if model == "budget" else 0.0)
 
     return Scenario(
         name=name,
@@ -341,23 +344,8 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
         beta=beta,
         notices=tuple(notices),
         source=source,
+        params=params,
     )
-
-
-def _precheck_cfl(model: str, dt: float, grid: AgeGrid, mu: AgeProfile) -> None:
-    if model == "saturating":
-        if dt > grid.dz * (1.0 + 1e-12):
-            raise StepSizeError(
-                f"time step {dt:g} violates the transport bound dt <= dz = {grid.dz:g}"
-            )
-        return
-    mu_max = float(mu.values.max())
-    if 1.0 - mu_max * dt - dt / grid.dz < -1e-12:
-        bound = grid.dz / (1.0 + grid.dz * mu_max)
-        raise StepSizeError(
-            f"time step {dt:g} violates the stability bound "
-            f"1 - max(mu)*dt - dt/dz >= 0 (requires dt <= {bound:g})"
-        )
 
 
 def cfl_margin(scenario: Scenario) -> tuple[float, float]:
@@ -368,8 +356,7 @@ def cfl_margin(scenario: Scenario) -> tuple[float, float]:
     """
     dt = scenario.effective_dt()
     if scenario.model == "budget":
-        mu_max = float(scenario.mu.values.max())
-        return dt, 1.0 - mu_max * dt - dt / scenario.grid.dz
+        return dt, 1.0 - scenario.params.mu_max * dt - dt / scenario.grid.dz
     return dt, scenario.grid.dz - dt
 
 

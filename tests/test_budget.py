@@ -16,7 +16,6 @@ from swp import (
     boundary_ratio,
     budget_total,
     build_grid,
-    check_budget_assumption,
     constant_profile,
     default_budget_dt,
     hiring_rate,
@@ -27,6 +26,7 @@ from swp import (
     stationary_family,
     step_budget,
 )
+from swp.results import max_stable_dt
 
 
 def flat_params(grid, mu=0.1, omega=1.0):
@@ -87,7 +87,7 @@ class TestHiringRate:
 
 class TestBudgetAssumption:
     def test_constant_cost_holds(self, grid50):
-        report = check_budget_assumption(flat_params(grid50))
+        report = flat_params(grid50).assumption
         assert report.holds is True
 
     def test_linear_cost_moderate_attrition_holds(self, grid50):
@@ -96,7 +96,7 @@ class TestBudgetAssumption:
             normalize_distribution(constant_profile(grid50, 1.0)),
             AgeProfile(grid50, grid50.nodes.astype(float)),
         )
-        report = check_budget_assumption(par)
+        report = par.assumption
         # mu*omega - omega' = 0.3 z - 1 >= 5 on [20, 70]
         assert report.holds is True
 
@@ -104,14 +104,12 @@ class TestBudgetAssumption:
         mu = constant_profile(grid50, 0.3)
         gam = normalize_distribution(constant_profile(grid50, 1.0))
         # cost growing at 10%/year: omega'/omega = 0.1 < mu -> holds
-        slow = check_budget_assumption(
-            BudgetParams.build(mu, gam, AgeProfile(grid50, np.exp(grid50.nodes / 10.0)))
-        )
+        omega = AgeProfile(grid50, np.exp(grid50.nodes / 10.0))
+        slow = BudgetParams.build(mu, gam, omega).assumption
         assert slow.holds is True
         # cost growing at 100%/year: omega'/omega = 1 > mu -> violated
-        fast = check_budget_assumption(
-            BudgetParams.build(mu, gam, AgeProfile(grid50, np.exp(grid50.nodes - 20.0)))
-        )
+        omega = AgeProfile(grid50, np.exp(grid50.nodes - 20.0))
+        fast = BudgetParams.build(mu, gam, omega).assumption
         assert fast.holds is False
         assert fast.worst_margin < 0.0
         assert 20.0 <= fast.worst_age <= 70.0
@@ -147,6 +145,22 @@ class TestStepBudget:
         with pytest.raises(StepSizeError):
             step_budget(state, par, 0.95)  # bound: 1 - 0.1 dt - dt >= 0 -> dt <= 1/1.1
 
+    @pytest.mark.parametrize("call", ["step_budget", "simulate_budget"])
+    def test_cfl_bound_is_sharp(self, grid50, call):
+        par = flat_params(grid50)
+        rho = constant_profile(grid50, 10.0)
+        bound = max_stable_dt(grid50, par.mu_max)
+        assert bound == 1.0 / 1.1
+
+        def run(dt):
+            if call == "step_budget":
+                return step_budget(PopulationState(0.0, rho), par, dt)
+            return simulate_budget(par, rho, dt=dt, t_end=3 * bound)
+
+        run(bound)
+        with pytest.raises(StepSizeError):
+            run(bound * (1.0 + 1e-9))
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_conservation_for_arbitrary_states(self, seed):
@@ -163,7 +177,7 @@ class TestStepBudget:
     def test_positivity_under_assumption(self, grid50):
         rng = np.random.default_rng(5)
         par = interior_hiring_params(grid50)
-        assert check_budget_assumption(par).holds
+        assert par.assumption.holds
         rho = rng.uniform(0.0, 30.0, grid50.n + 1)
         rho[0] = 0.0
         state = PopulationState(0.0, AgeProfile(grid50, rho))
@@ -225,7 +239,7 @@ class TestRelativeEntropy:
 
     def test_monotone_along_trajectory(self, grid50):
         par = interior_hiring_params(grid50)
-        assert check_budget_assumption(par).holds
+        assert par.assumption.holds
         rho0 = interpolate_profile(grid50, [20, 25, 30, 70], [0.0, 40.0, 5.0, 5.0])
         res = simulate_budget(par, rho0, t_end=80.0)
         H = res.entropy
@@ -254,6 +268,19 @@ class TestSimulateBudget:
         assert 1.0 - mu_max * dt - dt / grid50.dz >= 0.0
         assert dt == pytest.approx(0.9 * grid50.dz / (1.0 + grid50.dz * mu_max), rel=1e-12)
 
+    def test_run_equals_step_loop_bitwise(self, scenarios_dir):
+        sc = swp.load_scenario(scenarios_dir / "bu-a-budget.json")
+        par, dt = sc.budget_params(), sc.effective_dt()
+        res = simulate_budget(par, sc.rho0, dt=dt, t_end=sc.t_end, snapshot_every=dt)
+        assert len(res.snapshots) == len(res.times)
+        rho = sc.rho0.values.copy()
+        rho[0] = 0.0
+        state = PopulationState(0.0, AgeProfile(sc.grid, rho))
+        for k, snap in enumerate(res.snapshots):
+            assert np.array_equal(snap.values, state.rho.values)
+            assert res.hiring[k] == hiring_rate(state, par)[0]
+            state = step_budget(state, par, dt)
+
     def test_aging_workforce_shrinks_under_flat_budget(self, scenarios_dir):
         sc = swp.load_scenario(scenarios_dir / "bu-b-budget.json")
         res = simulate_budget(sc.budget_params(), sc.rho0, t_end=200.0, snapshot_every=100.0)
@@ -267,6 +294,15 @@ class TestBudgetParamsValidation:
                 constant_profile(grid50, 0.1),
                 normalize_distribution(constant_profile(grid50, 1.0)),
                 constant_profile(grid50, -1.0),
+            )
+
+    def test_negative_attrition_rejected(self, grid50):
+        mu = interpolate_profile(grid50, [20, 45, 46, 70], [0.1, 0.1, -0.01, 0.1])
+        with pytest.raises(ValidationError, match="attrition rate negative at age 46"):
+            BudgetParams.build(
+                mu,
+                normalize_distribution(constant_profile(grid50, 1.0)),
+                constant_profile(grid50, 1.0),
             )
 
     def test_zero_terminal_cost_rejected(self, grid50):

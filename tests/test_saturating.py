@@ -22,6 +22,7 @@ from swp import (
     simulate_saturating,
     step_saturating,
 )
+from swp.results import max_stable_dt
 
 CLOSED_FORM_BETA = (1.0 - np.exp(-5.0)) / 0.1  # entry-age hiring, mu = 0.1, span 50
 
@@ -142,6 +143,13 @@ class TestEquilibria:
         assert report.technical_window is True
 
 
+class TestSaturatingParams:
+    def test_negative_attrition_rejected(self, grid50):
+        mu = swp.interpolate_profile(grid50, [20, 45, 46, 70], [0.1, 0.1, -0.01, 0.1])
+        with pytest.raises(ValidationError, match="attrition rate negative at age 46"):
+            SaturatingParams.build(1e-6, mu, uniform_gamma(grid50, 20.0, 70.0))
+
+
 class TestHiringResponse:
     def test_saturation_formula(self, grid50):
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
@@ -183,6 +191,22 @@ class TestStepSaturating:
         with pytest.raises(StepSizeError):
             step_saturating(state, par, 1.5)
 
+    @pytest.mark.parametrize("call", ["step_saturating", "simulate_saturating"])
+    def test_cfl_bound_is_sharp(self, grid50, call):
+        par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
+        rho = constant_profile(grid50, 10.0)
+        bound = max_stable_dt(grid50, 0.0)  # attrition is implicit: the bound is dz
+        assert bound == grid50.dz
+
+        def run(dt):
+            if call == "step_saturating":
+                return step_saturating(PopulationState(0.0, rho), par, dt)
+            return simulate_saturating(par, rho, dt=dt, t_end=3 * bound)
+
+        run(bound)
+        with pytest.raises(StepSizeError):
+            run(bound * (1.0 + 1e-9))
+
     def test_positivity_preserved(self, grid50):
         rng = np.random.default_rng(11)
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.4), uniform_gamma(grid50, 20.0, 30.0))
@@ -209,6 +233,19 @@ class TestSimulateSaturating:
         res = simulate_saturating(par, report.rho_eq, dt=0.25, t_end=100.0, snapshot_every=10.0)
         drift = np.max(np.abs(res.headcount - report.p_eq)) / report.p_eq
         assert drift < 0.01
+
+    def test_run_equals_step_loop_bitwise(self, scenarios_dir):
+        sc = swp.load_scenario(scenarios_dir / "bu-a-saturating.json")
+        par, dt = sc.saturating_params(), sc.effective_dt()
+        res = simulate_saturating(par, sc.rho0, dt=dt, t_end=sc.t_end, snapshot_every=dt)
+        assert len(res.snapshots) == len(res.times)
+        rho = sc.rho0.values.copy()
+        rho[0] = 0.0
+        state = PopulationState(0.0, AgeProfile(sc.grid, rho))
+        for k, snap in enumerate(res.snapshots):
+            assert np.array_equal(snap.values, state.rho.values)
+            assert res.hiring[k] == hiring_response(par, swp.integrate(state.rho))
+            state = step_saturating(state, par, dt)
 
     def test_hiring_series_matches_response(self, grid50):
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))

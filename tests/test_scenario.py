@@ -14,6 +14,7 @@ from swp import (
     save_scenario,
     scenario_from_dict,
 )
+from swp.results import max_stable_dt
 
 
 def doc_budget(**over):
@@ -243,6 +244,18 @@ class TestErrorCodes:
         with pytest.raises(StepSizeError) as e:
             scenario_from_dict(doc)
         assert code_of(e) == "cfl"
+
+    @pytest.mark.parametrize("model", ["budget", "saturating"])
+    def test_step_at_bound_accepted_and_just_above_rejected(self, model):
+        doc = doc_budget() if model == "budget" else doc_saturating()
+        grid = scenario_from_dict(doc).grid
+        mu_max = doc["profiles"]["attrition"]["constant"] if model == "budget" else 0.0
+        bound = max_stable_dt(grid, mu_max)
+        assert scenario_from_dict({**doc, "time": {"dt": bound}}).dt == bound
+        with pytest.raises(StepSizeError) as e:
+            scenario_from_dict({**doc, "time": {"dt": bound * (1.0 + 1e-9)}})
+        assert code_of(e) == "cfl"
+        assert e.value.exit_code == 3
 
     def test_infeasible_calibration(self):
         doc = doc_saturating()
