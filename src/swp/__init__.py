@@ -10,7 +10,6 @@ from .budget import (
     BudgetAssumptionReport,
     BudgetParams,
     StationaryFamily,
-    boundary_ratio,
     budget_total,
     default_budget_dt,
     hiring_rate,

@@ -158,26 +158,9 @@ def _conserving_rate(rho: np.ndarray, params: BudgetParams, h: float) -> float:
     return h - float(params.omega.values[1] * rho[0]) / params.hire_cost
 
 
-def boundary_ratio(state: PopulationState, params: BudgetParams) -> float:
-    """Entry-age limit of rho / (stationary shape).
-
-    Fresh hires dominate both densities near the entry age, so the ratio
-    tends to  A * rho(z_max) + integral B(y) rho(y) dy  with
-    A = omega(z_max)/integral(omega gamma) and B = (mu omega - omega') over
-    the same denominator -- which is exactly the current hiring rate
-    relative to the stationary one.
-    """
-    rho = state.rho.values
-    w = params.omega.values
-    denom = params.hire_cost
-    A = w[-1] / denom
-    B = (params.mu.values[1:-1] * w[1:-1] - params.omega_prime[1:-1]) / denom
-    return float(A * rho[-1] + (B * rho[1:-1]).sum() * params.grid.dz)
-
-
-def default_budget_dt(params: BudgetParams, safety: float = 0.9) -> float:
-    """Largest stable step scaled by a safety factor."""
-    return max_stable_dt(params.grid, params.mu_max, safety)
+def default_budget_dt(params: BudgetParams) -> float:
+    """Largest stable step scaled by a safety factor of 0.9."""
+    return max_stable_dt(params.grid, params.mu_max, 0.9)
 
 
 def _stepper(params: BudgetParams, dt: float):

@@ -108,13 +108,21 @@ def _emit_notices(args, scenario: Scenario) -> None:
         _emit(args, f"note: {note}")
 
 
-def cmd_equilibrium(args) -> int:
+def _load(args, models: tuple[str, ...]) -> Scenario:
+    """Load the scenario, reject a model the subcommand does not run, print the notices."""
     scenario = load_scenario(args.scenario)
-    if scenario.model != "saturating":
+    if scenario.model not in models:
+        kinds = " or ".join(models)
+        article = "an" if kinds[0] in "aeiou" else "a"
         raise ValidationError(
-            f"equilibrium analysis needs a saturating scenario, got model {scenario.model!r}"
+            f"{args.command} needs {article} {kinds} scenario, got model {scenario.model!r}"
         )
     _emit_notices(args, scenario)
+    return scenario
+
+
+def cmd_equilibrium(args) -> int:
+    scenario = _load(args, ("saturating",))
     report = equilibria(scenario.saturating_params())
     _emit(args, f"beta = {report.beta:.6g}")
     _emit(args, f"alpha = {report.alpha:.6g}")
@@ -131,12 +139,7 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.model not in ("saturating", "budget"):
-        raise ValidationError(
-            f"simulate needs a saturating or budget scenario, got model {scenario.model!r}"
-        )
-    _emit_notices(args, scenario)
+    scenario = _load(args, ("saturating", "budget"))
     dt = args.dt if args.dt is not None else scenario.effective_dt()
     t_end = args.t_end if args.t_end is not None else scenario.t_end
     snap = scenario.snapshot_every
@@ -189,12 +192,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.model != "optimize":
-        raise ValidationError(
-            f"optimize needs an optimize scenario, got model {scenario.model!r}"
-        )
-    _emit_notices(args, scenario)
+    scenario = _load(args, ("optimize",))
     curves = optimizer_curves(scenario.omega, scenario.mu)
     z0 = optimal_hiring_age(curves)
     tied = has_tied_minimum(curves)

@@ -72,6 +72,11 @@ class SaturatingParams:
     def grid(self) -> AgeGrid:
         return self.mu.grid
 
+    @property
+    def mu_max(self) -> float:
+        """Attrition rate in the step bound: 0, since the scheme treats attrition implicitly."""
+        return 0.0
+
     @staticmethod
     def build(alpha: float, mu: AgeProfile, gamma: AgeProfile) -> "SaturatingParams":
         if not (alpha > 0) or not math.isfinite(alpha):
@@ -178,7 +183,7 @@ def _stepper(params: SaturatingParams, dt: float):
 def step_saturating(state: PopulationState, params: SaturatingParams, dt: float) -> PopulationState:
     """Advance one time step with the semi-implicit upwind scheme."""
     a = hiring_response(params, integrate(state.rho))
-    return step_state(state, dt, 0.0, a, _stepper(params, dt))
+    return step_state(state, dt, params.mu_max, a, _stepper(params, dt))
 
 
 def simulate_saturating(
@@ -190,8 +195,7 @@ def simulate_saturating(
 ) -> SimulationResult:
     """Run the saturating model from rho0 up to t_end (see :func:`swp.results.march`)."""
     _same_grid(params.mu, rho0)
-    # attrition is implicit, so no rate enters the step bound: dt <= dz
     return march(
-        "saturating", rho0, dt, t_end, snapshot_every, 0.0,
+        "saturating", rho0, dt, t_end, snapshot_every, params.mu_max,
         lambda rho, P: hiring_response(params, P), _stepper(params, dt),
     )

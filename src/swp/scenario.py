@@ -47,6 +47,16 @@ _REQUIRED_PROFILES = {
 }
 _KNOWN_PROFILES = ("attrition", "hiring", "cost", "initial", "current_hiring")
 
+# The keys each JSON object of a scenario may hold; any other key is rejected.
+_SCHEMA = {
+    "$": ("name", "model", "grid", "profiles", "saturating", "optimize", "time"),
+    "$.grid": ("z_min", "z_max", "dz"),
+    "$.profiles": _KNOWN_PROFILES,
+    "$.saturating": ("alpha", "p_eq_target"),
+    "$.optimize": ("experience_total",),
+    "$.time": ("dt", "t_end", "snapshot_every"),
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -159,6 +169,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
     notices: list[str] = []
 
+    _reject_unknown(doc, "$")
     name = _require(doc, "name", str, "$.name")
     model = _require(doc, "model", str, "$.model")
     if model not in MODELS:
@@ -168,21 +179,14 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
             path="$.model",
         )
 
-    grid_block = _require(doc, "grid", dict, "$.grid")
+    grid_block = _block(doc, "grid", required=True)
     grid = build_grid(
         _number(grid_block, "z_min", "$.grid.z_min"),
         _number(grid_block, "z_max", "$.grid.z_max"),
         _number(grid_block, "dz", "$.grid.dz"),
     )
 
-    profiles_block = _require(doc, "profiles", dict, "$.profiles")
-    for key in profiles_block:
-        if key not in _KNOWN_PROFILES:
-            raise ValidationError(
-                f"unknown profile {key!r}; expected one of {', '.join(_KNOWN_PROFILES)}",
-                code="missing-field",
-                path=f"$.profiles.{key}",
-            )
+    profiles_block = _block(doc, "profiles", required=True)
     for key in ("attrition",) + _REQUIRED_PROFILES[model]:
         if key not in profiles_block:
             raise ValidationError(
@@ -197,23 +201,18 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
             path="$.profiles.current_hiring",
         )
 
-    def profile(key: str) -> AgeProfile | None:
-        if key not in profiles_block:
-            return None
-        return _resolve_profile(profiles_block[key], grid, base_dir, f"$.profiles.{key}")
+    profiles: dict[str, AgeProfile | None] = dict.fromkeys(_KNOWN_PROFILES)
+    for role in _KNOWN_PROFILES:
+        if role in profiles_block:
+            path = f"$.profiles.{role}"
+            profiles[role] = _resolve_profile(profiles_block[role], grid, base_dir, path)
+            if np.any(profiles[role].values < 0):
+                raise ValidationError(
+                    f"{role} profile must be nonnegative", code="bad-value", path=path
+                )
+    mu, gamma, omega, rho0, current_hiring = profiles.values()
 
-    mu = profile("attrition")
-    if np.any(mu.values < 0):
-        raise ValidationError(
-            "attrition must be nonnegative", code="bad-value", path="$.profiles.attrition"
-        )
-
-    gamma = profile("hiring")
     if gamma is not None:
-        if np.any(gamma.values < 0):
-            raise ValidationError(
-                "hiring profile must be nonnegative", code="bad-value", path="$.profiles.hiring"
-            )
         raw_mass = integrate(gamma)
         if raw_mass <= 0:
             raise ValidationError(
@@ -223,33 +222,14 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
             notices.append(f"hiring profile mass {raw_mass:.6g} normalized to 1")
         gamma = normalize_distribution(gamma)
 
-    omega = profile("cost")
-    if omega is not None and np.any(omega.values < 0):
-        raise ValidationError(
-            "cost profile must be nonnegative", code="bad-value", path="$.profiles.cost"
-        )
-
-    rho0 = profile("initial")
-    if rho0 is not None and np.any(rho0.values < 0):
-        raise ValidationError(
-            "initial density must be nonnegative", code="bad-value", path="$.profiles.initial"
-        )
-
-    current_hiring = profile("current_hiring")
-    if current_hiring is not None and np.any(current_hiring.values < 0):
-        raise ValidationError(
-            "current hiring density must be nonnegative",
-            code="bad-value",
-            path="$.profiles.current_hiring",
-        )
-
     alpha: float | None = None
     beta: float | None = None
     params: SaturatingParams | BudgetParams | None = None
     experience_total: float | None = None
 
+    # a model block is checked wherever it appears, and read by its own model only
+    block = _block(doc, "saturating", required=model == "saturating")
     if model == "saturating":
-        block = _require(doc, "saturating", dict, "$.saturating")
         has_alpha = "alpha" in block
         has_target = "p_eq_target" in block
         if has_alpha == has_target:
@@ -260,11 +240,7 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
             )
         beta = recruitment_index(mu, gamma)
         if has_alpha:
-            alpha = _number(block, "alpha", "$.saturating.alpha")
-            if alpha <= 0:
-                raise ValidationError(
-                    "alpha must be positive", code="bad-value", path="$.saturating.alpha"
-                )
+            alpha = _positive(block, "alpha", "$.saturating", required=True)
         else:
             target = _number(block, "p_eq_target", "$.saturating.p_eq_target")
             if beta <= 1.0:
@@ -295,15 +271,9 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
                 f"{rep.worst_age:g} (margin {rep.worst_margin:.4g})"
             )
 
+    block = _block(doc, "optimize", required=model == "optimize")
     if model == "optimize":
-        block = _require(doc, "optimize", dict, "$.optimize")
-        experience_total = _number(block, "experience_total", "$.optimize.experience_total")
-        if experience_total <= 0:
-            raise ValidationError(
-                "experience_total must be positive",
-                code="bad-value",
-                path="$.optimize.experience_total",
-            )
+        experience_total = _positive(block, "experience_total", "$.optimize", required=True)
         if rho0 is not None and current_hiring is not None:
             raise ValidationError(
                 "give at most one of initial (a density) and current_hiring (a hiring rate)",
@@ -311,21 +281,13 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
                 path="$.profiles",
             )
 
-    time_block = doc.get("time", {})
-    if not isinstance(time_block, dict):
-        raise ValidationError("time block must be an object", code="bad-value", path="$.time")
-    dt = _optional_number(time_block, "dt", "$.time.dt")
-    t_end = _optional_number(time_block, "t_end", "$.time.t_end")
-    snapshot_every = _optional_number(time_block, "snapshot_every", "$.time.snapshot_every")
-    t_end = 100.0 if t_end is None else t_end
-    for label, value in (("dt", dt), ("t_end", t_end), ("snapshot_every", snapshot_every)):
-        if value is not None and not value > 0:
-            raise ValidationError(
-                f"{label} must be positive", code="bad-value", path=f"$.time.{label}"
-            )
+    time_block = _block(doc, "time", required=False)
+    dt = _positive(time_block, "dt", "$.time")
+    t_end = _positive(time_block, "t_end", "$.time") or 100.0
+    snapshot_every = _positive(time_block, "snapshot_every", "$.time")
 
     if dt is not None and params is not None:
-        check_dt(dt, grid, params.mu_max if model == "budget" else 0.0)
+        check_dt(dt, grid, params.mu_max)
 
     return Scenario(
         name=name,
@@ -349,15 +311,16 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
 
 
 def cfl_margin(scenario: Scenario) -> tuple[float, float]:
-    """(dt in effect, stability margin) for the scenario's model.
+    """(dt in effect, stability margin) for a saturating or budget scenario.
 
-    The margin is dz - dt for the saturating scheme and
-    1 - max(mu)*dt - dt/dz for the budget scheme; nonnegative means stable.
+    The margin is the unused fraction of the stable step,
+    1 - dt/max_stable_dt = 1 - max(mu)*dt - dt/dz, with max(mu) = 0 for the
+    saturating scheme (implicit attrition); nonnegative means stable.
     """
+    if scenario.params is None:
+        raise ValidationError(f"scenario models {scenario.model}, which takes no time steps")
     dt = scenario.effective_dt()
-    if scenario.model == "budget":
-        return dt, 1.0 - scenario.params.mu_max * dt - dt / scenario.grid.dz
-    return dt, scenario.grid.dz - dt
+    return dt, 1.0 - scenario.params.mu_max * dt - dt / scenario.grid.dz
 
 
 def _resolve_profile(spec, grid: AgeGrid, base_dir: Path, path: str) -> AgeProfile:
@@ -454,6 +417,26 @@ def _csv_profile(file_path: Path, grid: AgeGrid, path: str) -> AgeProfile:
     return interpolate_profile(grid, xs, ys)
 
 
+def _reject_unknown(block: dict, path: str) -> None:
+    for key in block:
+        if key not in _SCHEMA[path]:
+            raise ValidationError(
+                f"unknown field {key!r}; expected one of {', '.join(_SCHEMA[path])}",
+                code="missing-field",
+                path=f"{path}.{key}",
+            )
+
+
+def _block(doc: dict, key: str, required: bool) -> dict:
+    """The object under ``key``, checked against the schema table."""
+    if key not in doc and not required:
+        return {}
+    path = f"$.{key}"
+    block = _require(doc, key, dict, path)
+    _reject_unknown(block, path)
+    return block
+
+
 def _require(doc: dict, key: str, typ: type, path: str):
     if key not in doc:
         raise ValidationError(f"missing required field", code="missing-field", path=path)
@@ -473,10 +456,14 @@ def _number(block: dict, key: str, path: str) -> float:
     return _as_number(block[key], path)
 
 
-def _optional_number(block: dict, key: str, path: str) -> float | None:
-    if key not in block or block[key] is None:
+def _positive(block: dict, key: str, path: str, required: bool = False) -> float | None:
+    """A positive number at ``path.key``; an optional key that is absent or null gives None."""
+    if not required and block.get(key) is None:
         return None
-    return _as_number(block[key], path)
+    value = _number(block, key, f"{path}.{key}")
+    if not value > 0:
+        raise ValidationError(f"{key} must be positive", code="bad-value", path=f"{path}.{key}")
+    return value
 
 
 def _as_number(value, path: str) -> float:

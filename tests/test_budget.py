@@ -13,7 +13,6 @@ from swp import (
     PopulationState,
     StepSizeError,
     ValidationError,
-    boundary_ratio,
     budget_total,
     build_grid,
     constant_profile,
@@ -230,12 +229,6 @@ class TestRelativeEntropy:
         fam = stationary_family(par, constant_profile(grid50, 1.0))
         state = PopulationState(0.0, constant_profile(grid50, 0.0))
         assert relative_entropy(state, fam, par) == 0.0
-
-    def test_boundary_ratio_finite(self, grid50):
-        par = interior_hiring_params(grid50)
-        rng = np.random.default_rng(9)
-        state = PopulationState(0.0, AgeProfile(grid50, rng.uniform(0.0, 20.0, grid50.n + 1)))
-        assert np.isfinite(boundary_ratio(state, par))
 
     def test_monotone_along_trajectory(self, grid50):
         par = interior_hiring_params(grid50)

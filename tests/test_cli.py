@@ -76,6 +76,14 @@ class TestEquilibriumCommand:
         assert err.startswith("error[invalid]:")
         assert "needs a saturating scenario" in err
 
+    def test_unknown_key_exits_1_naming_its_path(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(BUDGET_DOC))
+        doc["grid"]["dzz"] = 0.5
+        code, out, err = run(capsys, "validate", "--scenario", str(write_doc(tmp_path, doc)))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[missing-field]: $.grid.dzz:")
+
 
 class TestSimulateCommand:
     def test_budget_run_report(self, capsys, scenarios_dir, tmp_path):
@@ -182,6 +190,19 @@ class TestSimulateCommand:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_wrong_model_rejected(self, capsys, scenarios_dir, tmp_path):
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--scenario", str(scenarios_dir / "bu-1-optimize.json"),
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[invalid]:")
+        assert "needs a saturating or budget scenario, got model 'optimize'" in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestOptimizeCommand:
     def test_interior_minimum_report(self, capsys, scenarios_dir, tmp_path):
@@ -230,6 +251,19 @@ class TestOptimizeCommand:
         )
         assert code == 0
         assert "z0 = 20 (tie-break), case = YouthIntake" in out
+
+    def test_wrong_model_rejected(self, capsys, scenarios_dir, tmp_path):
+        code, out, err = run(
+            capsys,
+            "optimize",
+            "--scenario", str(scenarios_dir / "bu-a-budget.json"),
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[invalid]:")
+        assert "needs an optimize scenario, got model 'budget'" in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestValidateCommand:

@@ -1,6 +1,7 @@
 """Scenario file loading: validation, error codes, notices, round-trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from swp import (
     scenario_from_dict,
 )
 from swp.results import max_stable_dt
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def doc_budget(**over):
@@ -44,6 +47,21 @@ def doc_saturating(**over):
             "initial": {"constant": 10.0},
         },
         "saturating": {"alpha": 1e-4},
+    }
+    doc.update(over)
+    return doc
+
+
+def doc_optimize(**over):
+    doc = {
+        "name": "t",
+        "model": "optimize",
+        "grid": {"z_min": 20, "z_max": 70, "dz": 1.0},
+        "profiles": {
+            "attrition": {"constant": 0.05},
+            "cost": {"constant": 40000.0},
+        },
+        "optimize": {"experience_total": 1000.0},
     }
     doc.update(over)
     return doc
@@ -99,6 +117,16 @@ class TestFrozenScenarios:
         assert dt == 1.0
         assert margin == pytest.approx(0.0, abs=1e-15)
 
+    def test_cfl_margin_saturating_is_unused_fraction_of_step(self):
+        doc = doc_saturating(grid={"z_min": 20, "z_max": 70, "dz": 0.5}, time={"dt": 0.25})
+        dt, margin = cfl_margin(scenario_from_dict(doc))
+        assert dt == 0.25
+        assert margin == 0.5
+
+    def test_cfl_margin_needs_a_time_stepping_model(self, scenarios_dir):
+        with pytest.raises(ValidationError, match="takes no time steps"):
+            cfl_margin(load_scenario(scenarios_dir / "bu-1-optimize.json"))
+
     def test_missing_time_block_defaults(self):
         doc = doc_budget()
         sc = scenario_from_dict(doc)
@@ -122,6 +150,38 @@ class TestErrorCodes:
         with pytest.raises(ValidationError) as e:
             scenario_from_dict(doc)
         assert code_of(e) == "missing-field"
+
+    @pytest.mark.parametrize(
+        "make_doc, block, key",
+        [
+            (doc_budget, None, "tim"),
+            (doc_budget, "grid", "dzz"),
+            (doc_budget, "time", "snapshot_evry"),
+            (doc_saturating, "saturating", "alph"),
+            (doc_optimize, "optimize", "experience"),
+            # a model block is checked even where another model ignores it
+            (doc_budget, "saturating", "alph"),
+        ],
+    )
+    def test_unknown_key_rejected_with_its_path(self, make_doc, block, key):
+        doc = make_doc()
+        if block is None:
+            doc[key] = {"t_end": 5.0}
+        else:
+            doc[block] = {**doc.get(block, {}), key: 1.0}
+        with pytest.raises(ValidationError) as e:
+            scenario_from_dict(doc)
+        assert code_of(e) == "missing-field"
+        assert e.value.path == ("$" if block is None else f"$.{block}") + f".{key}"
+
+    @pytest.mark.parametrize("role", ["attrition", "hiring", "cost", "initial"])
+    def test_negative_profile_names_its_role(self, role):
+        doc = doc_budget()
+        doc["profiles"][role] = {"piecewise": [[20, 1.0], [40, -1.0], [70, 1.0]]}
+        with pytest.raises(ValidationError) as e:
+            scenario_from_dict(doc)
+        assert code_of(e) == "bad-value"
+        assert e.value.path == f"$.profiles.{role}"
 
     def test_unknown_model(self):
         with pytest.raises(ValidationError) as e:
@@ -322,6 +382,12 @@ class TestRoundTrip:
         first = save_scenario(sc, tmp_path / "a.json")
         second = save_scenario(load_scenario(first), tmp_path / "b.json")
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+    def test_every_bundled_scenario_reloads_from_its_copy(self, name, tmp_path):
+        sc = load_scenario(SCENARIOS / name)
+        back = load_scenario(save_scenario(sc, tmp_path / name))
+        assert (back.name, back.model, back.grid, back.dt) == (sc.name, sc.model, sc.grid, sc.dt)
 
     def test_saved_saturating_keeps_calibrated_alpha(self, scenarios_dir, tmp_path):
         sc = load_scenario(scenarios_dir / "bu-a-saturating.json")
