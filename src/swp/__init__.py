@@ -29,14 +29,13 @@ from .errors import (
 from .numerics import (
     AgeGrid,
     AgeProfile,
-    CumulativeAttrition,
     build_grid,
     constant_profile,
-    cumulative_attrition,
     discounted_tenure,
     integrate,
     interpolate_profile,
     l1_distance,
+    log_survival,
     normalize_distribution,
     steady_shape,
 )

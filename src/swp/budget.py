@@ -13,7 +13,8 @@ Time stepping uses the explicit upwind scheme
     rho_j^{k+1} = rho_j^k (1 - mu_j dt)
                   + dt * (h_k gamma_j - (rho_j^k - rho_{j-1}^k) / dz),   j >= 1,
 
-with rho_0 = 0.  With h_k computed from the same nodal sums the scheme
+with rho_0 = 0 (hires at z_min enter node 1, see :func:`swp.numerics.hire_source`).
+With h_k computed from the same nodal sums the scheme
 conserves the discrete budget  dz * sum_{j>=1} omega_j rho_j  exactly, and
 under the stability bound  1 - max(mu) dt - dt/dz >= 0  it is positivity
 preserving whenever the hire coefficients  mu*omega - omega' >= 0.
@@ -37,6 +38,7 @@ from .errors import DegenerateScenarioError, ValidationError
 from .numerics import (
     AgeGrid,
     AgeProfile,
+    hire_source,
     require_nonnegative_attrition,
     require_normalized,
     steady_shape,
@@ -59,7 +61,7 @@ class BudgetParams:
     """Model data: attrition, hiring distribution and cost profile.
 
     ``hire_cost`` is the budget absorbed by a unit hiring rate,
-    dz * sum_{j>=1} omega_j gamma_j.
+    dz * sum_{j>=1} omega_j q_j with q the :func:`swp.numerics.hire_source`.
     """
 
     mu: AgeProfile
@@ -93,7 +95,7 @@ class BudgetParams:
         wp[:-1] = (w[1:] - w[:-1]) / dz
         wp[-1] = (w[-1] - w[-2]) / dz  # one-sided at z_max
         require_nonnegative_attrition(mu)
-        hire_cost = float((w[1:] * gamma.values[1:]).sum() * dz)
+        hire_cost = float((w[1:] * hire_source(gamma.values)).sum() * dz)
         if hire_cost <= 0:
             raise DegenerateScenarioError(
                 "hiring distribution carries no cost weight; budget hiring is undefined"
@@ -167,7 +169,7 @@ def _stepper(params: BudgetParams, dt: float):
     """Update of nodes 1..n for hiring rate h: the explicit conservative upwind scheme."""
     dz = params.grid.dz
     survive = 1.0 - params.mu.values[1:] * dt
-    gamma1 = params.gamma.values[1:]
+    gamma1 = hire_source(params.gamma.values)
 
     def update(rho: np.ndarray, h: float) -> np.ndarray:
         return rho[1:] * survive + dt * (h * gamma1 - (rho[1:] - rho[:-1]) / dz)
@@ -275,8 +277,6 @@ def simulate_budget(
             f"{params.assumption.worst_age:g} (margin {params.assumption.worst_margin:.3g}); "
             "entropy diagnostic is observational"
         )
-    if params.gamma.values[0] > 0:
-        notes.append("hiring mass at the entry node is inert (boundary holds rho = 0)")
 
     budget, entropy, *parts = np.array(rows).T
     return replace(

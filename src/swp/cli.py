@@ -125,6 +125,7 @@ def cmd_equilibrium(args) -> int:
     scenario = _load(args, ("saturating",))
     report = equilibria(scenario.saturating_params())
     _emit(args, f"beta = {report.beta:.6g}")
+    _emit(args, f"beta_h = {report.beta_h:.6g}")
     _emit(args, f"alpha = {report.alpha:.6g}")
     _emit(args, f"P_eq = {report.p_eq:g}, regime = {report.regime.value}")
     _emit(args, f"technical_window={'true' if report.technical_window else 'false'}")

@@ -1,4 +1,4 @@
-"""Age grid, profiles and attrition-survival primitives.
+"""Age grid, profiles and the cohort-survival primitive.
 
 Everything downstream works on a uniform age grid with nodes
 ``z_j = z_min + j*dz`` for ``j = 0..n``.  Definite integrals over the age
@@ -9,6 +9,9 @@ span use the left-rectangle rule
 which is the convention the transport schemes are written against.  Profiles
 are immutable: the value array is read-only and every operation returns a
 new profile.
+
+Everything stationary is a sum against one primitive, the schemes' cohort
+survival S_j = prod_{k=1..j} 1/(1 + mu_k*dz) (:func:`log_survival`).
 """
 
 from __future__ import annotations
@@ -82,9 +85,6 @@ class AgeProfile:
     def with_values(self, values: np.ndarray) -> "AgeProfile":
         return AgeProfile(self.grid, values)
 
-    def __call__(self) -> np.ndarray:
-        return self.values
-
 
 def constant_profile(grid: AgeGrid, value: float) -> AgeProfile:
     return AgeProfile(grid, np.full(grid.n + 1, float(value)))
@@ -125,26 +125,6 @@ def normalize_distribution(p: AgeProfile) -> AgeProfile:
     return p.with_values(p.values / total)
 
 
-@dataclass(frozen=True)
-class CumulativeAttrition:
-    """Cumulative attrition M and survival exp(-M) per node.
-
-    M_0 = 0 and M_j = dz * sum_{i<j} mu_i (left rule), so survival[j] is the
-    fraction of a cohort entering at z_min still present at node j.
-    """
-
-    grid: AgeGrid
-    M: np.ndarray = field(repr=False)
-    survival: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for name in ("M", "survival"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
 def require_nonnegative_attrition(mu: AgeProfile) -> None:
     """Reject attrition profiles with a negative rate, naming the worst age."""
     if np.any(mu.values < 0):
@@ -155,27 +135,51 @@ def require_nonnegative_attrition(mu: AgeProfile) -> None:
         )
 
 
-def cumulative_attrition(mu: AgeProfile) -> CumulativeAttrition:
+def log_survival(mu: AgeProfile) -> np.ndarray:
+    """The schemes' cohort survival in log form: log S_j, j = 0..n.
+
+    Both transport schemes carry a cohort from node j-1 to node j with the
+    factor 1/(1 + mu_j*dz), so S_0 = 1 and
+
+        log S_j = -sum_{k=1..j} log1p(mu_k * dz).
+
+    Sums against S are taken in log space, so no product over- or underflows.
+    """
     require_nonnegative_attrition(mu)
-    dz = mu.grid.dz
-    M = np.concatenate(([0.0], np.cumsum(mu.values[:-1]) * dz))
-    return CumulativeAttrition(mu.grid, M, np.exp(-M))
+    log_s = np.zeros(mu.grid.n + 1)
+    log_s[1:] = -np.cumsum(np.log1p(mu.values[1:] * mu.grid.dz))
+    return log_s
 
 
-def discounted_tenure(attr: CumulativeAttrition) -> np.ndarray:
+def hire_source(gamma: np.ndarray) -> np.ndarray:
+    """Hiring density as the schemes feed it to nodes 1..n.
+
+    The boundary pins the entry node to zero, so hires at z_min enter the
+    first cell: gamma_0 is added to node 1.
+    """
+    source = gamma[1:].copy()
+    source[0] += gamma[0]
+    return source
+
+
+def discounted_tenure(mu: AgeProfile) -> np.ndarray:
     """Expected remaining tenure of a hire entering at each node.
 
-    T_i = integral over [z_i, z_max] of exp(-(M(z) - M(z_i))) dz, evaluated
+    T_i = integral over [z_i, z_max] of exp(-(M(z) - M(z_i))) dz with the
+    cumulative attrition M_j = dz * sum_{k<j} mu_k (left rule), evaluated
     cell by cell with the per-cell survival factor and trapezoidal endpoint
     weights, so the recurrence stays stable for arbitrarily large attrition:
 
         T_n = 0,   T_i = s_i * T_{i+1} + dz * (1 + s_i) / 2,
 
-    where s_i = exp(-(M_{i+1} - M_i)) is the survival across cell i.
+    where s_i = exp(-(M_{i+1} - M_i)) is the survival across cell i.  This is
+    the continuous-limit survival, not the schemes' (see :func:`log_survival`).
     """
-    dz = attr.grid.dz
-    n = attr.grid.n
-    s = np.exp(-(attr.M[1:] - attr.M[:-1]))
+    require_nonnegative_attrition(mu)
+    dz = mu.grid.dz
+    n = mu.grid.n
+    M = np.concatenate(([0.0], np.cumsum(mu.values[:-1]) * dz))
+    s = np.exp(-(M[1:] - M[:-1]))
     T = np.empty(n + 1)
     T[n] = 0.0
     for i in range(n - 1, -1, -1):
@@ -186,29 +190,18 @@ def discounted_tenure(attr: CumulativeAttrition) -> np.ndarray:
 def steady_shape(mu: AgeProfile, gamma: AgeProfile) -> AgeProfile:
     """Stationary age profile sustained by unit-rate hiring under attrition.
 
-    Discrete counterpart of integral(gamma(y) * exp(-(M(z)-M(y))) dy, y <= z):
-    the profile D with D_0 = 0 and
+    The exact fixed point (per unit hiring rate) of both transport schemes,
+    D_0 = 0 and D_j = (D_{j-1} + dz * q_j) / (1 + mu_j * dz) with q the
+    :func:`hire_source`, written with the cohort survival S as
 
-        D_j = (D_{j-1} + dz * gamma_j) / (1 + mu_j * dz)
-
-    is the exact fixed point (per unit hiring rate) of both transport
-    schemes, which keeps long-run diagnostics consistent with the dynamics.
-
-    Hiring mass in the entry cell rides along from node 1 on (the entry
-    node itself is pinned to zero by the boundary condition).  Both
-    schemes drop that mass from the dynamics, so a profile with
-    gamma(z_min) > 0 is stationary only up to that contribution.
+        D_j = S_j * sum_{i=1..j} dz * q_i / S_{i-1}.
     """
     _same_grid(mu, gamma)
-    dz = mu.grid.dz
-    n = mu.grid.n
-    g = gamma.values
-    m = mu.values
-    D = np.zeros(n + 1)
-    seed = dz * g[0]
-    for j in range(1, n + 1):
-        D[j] = (D[j - 1] + seed + dz * g[j]) / (1.0 + m[j] * dz)
-        seed = 0.0
+    log_s = log_survival(mu)
+    with np.errstate(divide="ignore"):
+        log_in = np.log(hire_source(gamma.values) * mu.grid.dz) - log_s[:-1]
+    D = np.zeros(mu.grid.n + 1)
+    D[1:] = np.exp(log_s[1:] + np.logaddexp.accumulate(log_in))
     return AgeProfile(mu.grid, D)
 
 

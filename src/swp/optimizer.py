@@ -2,17 +2,20 @@
 
 Among stationary age structures holding the total knowledge proxy
 E = integral z * rho(z) dz fixed, the cheapest one concentrates all hiring
-at a single age z0.  With wage profile w and survival exp(-M), define the
-tail integrals
+at a single age z0.  With wage profile w and the schemes' cohort survival S
+(:func:`swp.numerics.log_survival`), a cohort hired at node i at unit rate
+holds the density S_j / S_{i-1} at nodes j >= i, so its left-rule tails are
 
-    f(z) = integral_z^{z_max} w(y) exp(-M(y)) dy     (wage bill of a cohort)
-    g(z) = integral_z^{z_max} y  * exp(-M(y)) dy     (knowledge of a cohort)
+    f_i = dz * sum_{j=i..n-1} w_j S_j / S_{i-1}     (wage bill of a cohort)
+    g_i = dz * sum_{j=i..n-1} z_j S_j / S_{i-1}     (knowledge of a cohort)
 
-and the marginal cost of knowledge d = f / g, extended to the retirement
-age by its limit d(z_max) = w(z_max) / z_max.  The optimal hiring age z0
-minimizes d (ties resolved toward the youngest age); the optimal structure
-is rho*(z) = b * exp(-M(z)) for z >= z0 with b = E / g(z0), at total cost
-C = E * d(z0).
+and the marginal cost of knowledge is d = f / g, extended to the retirement
+age by its limit d(z_max) = w(z_max) / z_max.  Hires at z_min enter the first
+cell, so node 0 takes node 1's values and d(z_min) = d(z_min + dz): an
+entry-age optimum is a tie.  The optimal hiring age z0 minimizes d (ties
+resolved toward the youngest age); the optimal structure is
+rho*_j = b * S_j / S_{j0-1} for j >= j0 with b = E / g(z0), the scheme's fixed
+point for hiring at rate b, at total cost C = E * d(z0).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import AgeGrid, AgeProfile, cumulative_attrition, _same_grid
+from .numerics import AgeGrid, AgeProfile, log_survival, steady_shape, _same_grid
 from .results import PopulationState
 
 # Relative slack when hunting for tied minima of d (pure float noise).
@@ -52,46 +55,46 @@ class KnowledgeConstraint:
 
 @dataclass(frozen=True)
 class OptimizerCurves:
-    """Tail integrals f, g, marginal cost d and the survival they share."""
+    """Tail sums f, g and the marginal cost d = f/g, with the attrition they use."""
 
     grid: AgeGrid
     wage: AgeProfile
+    mu: AgeProfile
     f: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
     d: np.ndarray = field(repr=False)
-    survival: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("f", "g", "d", "survival"):
+        for name in ("f", "g", "d"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 
 def optimizer_curves(wage: AgeProfile, mu: AgeProfile) -> OptimizerCurves:
-    """Tabulate f, g and d = f/g on the grid (left-rule tail sums)."""
+    """Tabulate f, g and d = f/g on the grid (left-rule tail sums against S)."""
     _same_grid(wage, mu)
     grid = wage.grid
     if grid.z_min <= 0:
         raise ValidationError("ages must be positive to use age as a knowledge proxy")
     if np.any(wage.values < 0):
         raise ValidationError("wage profile has negative entries")
-    s = cumulative_attrition(mu).survival
-    dz = grid.dz
-    zs = grid.nodes
+    log_s = log_survival(mu)
 
     def tail(weights: np.ndarray) -> np.ndarray:
-        cells = weights[:-1] * s[:-1] * dz
-        out = np.zeros(grid.n + 1)
-        out[:-1] = np.cumsum(cells[::-1])[::-1]
-        return out
+        # dz * sum_{j=i..n-1} weights_j S_j / S_{i-1} for i = 1..n; node 0 takes
+        # node 1's value, as hires at z_min enter the first cell
+        with np.errstate(divide="ignore"):
+            terms = np.log(weights[1:-1]) + log_s[1:-1]
+        log_f = np.append(np.logaddexp.accumulate(terms[::-1])[::-1], -np.inf) - log_s[:-1]
+        return grid.dz * np.exp(np.insert(log_f, 0, log_f[0]))
 
     f = tail(wage.values)
-    g = tail(zs)
+    g = tail(grid.nodes)
     d = np.empty(grid.n + 1)
     d[:-1] = f[:-1] / g[:-1]
     d[-1] = wage.values[-1] / grid.z_max  # limit of f/g as the tail shrinks
-    return OptimizerCurves(grid, wage, f, g, d, s)
+    return OptimizerCurves(grid, wage, mu, f, g, d)
 
 
 def _min_candidates(curves: OptimizerCurves) -> np.ndarray:
@@ -117,7 +120,6 @@ class OptimalPolicy:
     z0: float
     case: PolicyCase
     intake: float                    # hiring rate b
-    hiring_mass: tuple[float, float]  # (age, located mass b * exp(-M(z0)))
     rho_star: AgeProfile
     cost: float                      # C = E * d(z0)
     degenerate_support: bool = False
@@ -149,9 +151,9 @@ def optimal_structure(
     if g0 <= 0:
         raise ValidationError("knowledge tail vanishes on the requested support")
     b = constraint.total / g0
-    values = np.zeros(grid.n + 1)
-    values[j_support:] = b * curves.survival[j_support:]
-    rho_star = AgeProfile(grid, values)
+    hire = np.zeros(grid.n + 1)
+    hire[j_support] = 1.0 / grid.dz
+    rho_star = steady_shape(curves.mu, AgeProfile(grid, b * hire))
 
     if j0 == 0:
         case = PolicyCase.YOUTH_INTAKE
@@ -163,7 +165,6 @@ def optimal_structure(
         z0=float(z0),
         case=case,
         intake=float(b),
-        hiring_mass=(float(z0), float(b * curves.survival[j0])),
         rho_star=rho_star,
         cost=float(constraint.total * curves.d[j0]),
         degenerate_support=degenerate,
@@ -179,23 +180,16 @@ def optimize(wage: AgeProfile, mu: AgeProfile, constraint: KnowledgeConstraint) 
 def stationary_mixture(curves: OptimizerCurves, hire_density: AgeProfile) -> PopulationState:
     """Sustainable structure produced by hiring at rate u(y) across ages.
 
-    rho(z) = sum_{y <= z} u(y) * exp(-(M(z) - M(y))) * dz: each cohort hired
-    at age y survives along the attrition curve.  Any nonnegative u gives a
-    feasible stationary structure, and by construction its wage bill equals
-    sum u_j f_j dz and its knowledge total sum u_j g_j dz, so its cost can
-    never undercut the single-age optimum.
+    The scheme's fixed point for hiring density u: each cohort hired at age y
+    survives along S (:func:`swp.numerics.steady_shape`).  Any nonnegative u
+    gives a feasible stationary structure whose wage bill is dz * sum u_i f_i
+    and whose knowledge total is dz * sum u_i g_i, so its cost can never
+    undercut the single-age optimum.
     """
     _same_grid(curves.wage, hire_density)
-    u = hire_density.values
-    if np.any(u < 0):
+    if np.any(hire_density.values < 0):
         raise ValidationError("hiring density has negative entries")
-    grid = curves.grid
-    s = curves.survival
-    acc = np.cumsum(u[:-1] * grid.dz / s[:-1])
-    rho = np.empty(grid.n + 1)
-    rho[:-1] = s[:-1] * acc
-    rho[-1] = s[-1] * acc[-1]
-    return PopulationState(0.0, AgeProfile(grid, rho))
+    return PopulationState(0.0, steady_shape(curves.mu, hire_density))
 
 
 @dataclass(frozen=True)

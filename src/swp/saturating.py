@@ -13,16 +13,20 @@ semi-implicit upwind scheme
     rho_j^{k+1} = [rho_j^k - (dt/dz)(rho_j^k - rho_{j-1}^k)
                    + dt * a_k * gamma_j] / (1 + mu_j * dt),      j >= 1,
 
-with rho_0 = 0 at the entry boundary and a_k evaluated from the current
+with rho_0 = 0 at the entry boundary (hires at z_min enter node 1, see
+:func:`swp.numerics.hire_source`) and a_k evaluated from the current
 headcount.  The scheme is stable and positivity-preserving for dt <= dz
 (:func:`swp.results.max_stable_dt` with no explicit attrition).  The time
 loop is the one both models share, :func:`swp.results.march`; this module
 supplies the hiring response and the update expression (:func:`_stepper`).
 
-Whether hiring can sustain the workforce is governed by the recruitment
-index beta: the expected discounted tenure of one hire, averaged over the
-hiring ages.  A positive equilibrium headcount exists exactly when
-beta > 1, in which case P_eq = sqrt((beta - 1) / alpha).
+Whether hiring can sustain the workforce is governed by beta_h, the
+headcount unit hiring sustains in the scheme: the integral of the stationary
+shape D_j = S_j * sum_{i<=j} dz * gamma_i / S_{i-1} over the cohort survival
+S (:func:`swp.numerics.steady_shape`).  A positive equilibrium exists exactly
+when beta_h > 1, with P_eq = sqrt((beta_h - 1) / alpha).  Its continuous
+limit is the recruitment index beta, the expected discounted tenure of one
+hire; beta - beta_h is O(dz).
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from .errors import InfeasibleCalibrationError, ValidationError
 from .numerics import (
     AgeGrid,
     AgeProfile,
-    cumulative_attrition,
     discounted_tenure,
+    hire_source,
     integrate,
     require_nonnegative_attrition,
     require_normalized,
@@ -97,7 +101,7 @@ def recruitment_index(mu: AgeProfile, gamma: AgeProfile) -> float:
     """
     _same_grid(mu, gamma)
     require_normalized(gamma)
-    T = discounted_tenure(cumulative_attrition(mu))
+    T = discounted_tenure(mu)
     dz = mu.grid.dz
     return float((gamma.values[:-1] * T[:-1]).sum() * dz)
 
@@ -105,15 +109,16 @@ def recruitment_index(mu: AgeProfile, gamma: AgeProfile) -> float:
 def calibrate_alpha(beta: float, p_eq_target: float) -> float:
     """Saturation constant making p_eq_target the positive equilibrium.
 
-    Inverts P_eq = sqrt((beta - 1) / alpha).  Only feasible for beta > 1:
-    below that, hiring cannot sustain any positive equilibrium.
+    Inverts P_eq = sqrt((beta - 1) / alpha); pass the scheme's beta_h to hit
+    the equilibrium the simulator holds.  Only feasible for beta > 1: below
+    that, hiring cannot sustain any positive equilibrium.
     """
     if not (p_eq_target > 0):
         raise ValidationError(f"equilibrium target must be positive, got {p_eq_target}")
     if not (beta > 1.0):
         raise InfeasibleCalibrationError(
-            f"no positive equilibrium exists for recruitment index beta = {beta:.6g}; "
-            "calibration requires beta > 1"
+            f"beta_h = {beta:.6g} <= 1: no positive equilibrium exists, "
+            f"cannot calibrate to P_eq = {p_eq_target:g}"
         )
     alpha = (beta - 1.0) / (p_eq_target * p_eq_target)
     # Walk a few ulps so the round trip sqrt((beta-1)/alpha) == p_eq_target
@@ -132,7 +137,8 @@ def calibrate_alpha(beta: float, p_eq_target: float) -> float:
 class EquilibriumReport:
     """Equilibria of the saturating model for one parameter set."""
 
-    beta: float
+    beta: float    # recruitment index, the continuous limit of beta_h
+    beta_h: float  # headcount unit hiring sustains in the scheme
     alpha: float
     p_eq: float
     rho_eq: AgeProfile
@@ -143,24 +149,24 @@ class EquilibriumReport:
 def equilibria(params: SaturatingParams) -> EquilibriumReport:
     """Classify the long-run regime and build the positive equilibrium.
 
-    The zero workforce is always an equilibrium.  For beta > 1 there is in
-    addition a positive equilibrium with headcount P_eq = sqrt((beta-1)/alpha)
-    whose age profile is the stationary hiring shape scaled so that its
-    left-rule integral equals P_eq exactly.
+    The zero workforce is always an equilibrium.  For beta_h > 1 there is in
+    addition a positive equilibrium with headcount P_eq = sqrt((beta_h-1)/alpha),
+    the stationary hiring shape D scaled by a(P_eq) = P_eq / beta_h: the
+    fixed point of the scheme.
     """
     beta = recruitment_index(params.mu, params.gamma)
     lo, hi = TECHNICAL_WINDOW
     window = lo < beta < hi
-    if beta <= 1.0:
-        zero = AgeProfile(params.grid, np.zeros(params.grid.n + 1))
-        return EquilibriumReport(beta, params.alpha, 0.0, zero, Regime.EXTINCTION_ONLY, window)
-    p_eq = math.sqrt((beta - 1.0) / params.alpha)
     shape = steady_shape(params.mu, params.gamma)
-    mass = integrate(shape)
-    if mass <= 0:
-        raise ValidationError("hiring distribution produces an empty stationary shape")
-    rho_eq = shape.with_values(shape.values * (p_eq / mass))
-    return EquilibriumReport(beta, params.alpha, p_eq, rho_eq, Regime.BISTABLE, window)
+    beta_h = integrate(shape)
+    if beta_h <= 1.0:
+        zero = AgeProfile(params.grid, np.zeros(params.grid.n + 1))
+        return EquilibriumReport(
+            beta, beta_h, params.alpha, 0.0, zero, Regime.EXTINCTION_ONLY, window
+        )
+    p_eq = math.sqrt((beta_h - 1.0) / params.alpha)
+    rho_eq = shape.with_values(shape.values * (p_eq / beta_h))
+    return EquilibriumReport(beta, beta_h, params.alpha, p_eq, rho_eq, Regime.BISTABLE, window)
 
 
 def hiring_response(params: SaturatingParams, headcount: float) -> float:
@@ -171,7 +177,7 @@ def hiring_response(params: SaturatingParams, headcount: float) -> float:
 def _stepper(params: SaturatingParams, dt: float):
     """Update of nodes 1..n for hiring rate a: the semi-implicit upwind scheme."""
     lam = dt / params.grid.dz
-    gamma1 = params.gamma.values[1:]
+    gamma1 = hire_source(params.gamma.values)
     mu_fac = 1.0 + params.mu.values[1:] * dt
 
     def update(rho: np.ndarray, a: float) -> np.ndarray:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .budget import BudgetParams, default_budget_dt
-from .errors import InfeasibleCalibrationError, ValidationError
+from .errors import ValidationError
 from .numerics import (
     AgeGrid,
     AgeProfile,
@@ -33,6 +33,7 @@ from .numerics import (
     integrate,
     interpolate_profile,
     normalize_distribution,
+    steady_shape,
 )
 from .results import check_dt
 from .saturating import TECHNICAL_WINDOW, SaturatingParams, calibrate_alpha, recruitment_index
@@ -171,6 +172,11 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
 
     _reject_unknown(doc, "$")
     name = _require(doc, "name", str, "$.name")
+    # the name is the output subdirectory: it must stay one path component
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValidationError(
+            f"name {name!r} is not a plain directory name", code="bad-value", path="$.name"
+        )
     model = _require(doc, "model", str, "$.model")
     if model not in MODELS:
         raise ValidationError(
@@ -243,14 +249,10 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
             alpha = _positive(block, "alpha", "$.saturating", required=True)
         else:
             target = _number(block, "p_eq_target", "$.saturating.p_eq_target")
-            if beta <= 1.0:
-                raise InfeasibleCalibrationError(
-                    f"recruitment index beta = {beta:.6g} <= 1: no positive equilibrium "
-                    f"exists, cannot calibrate to P_eq = {target:g}"
-                )
-            alpha = calibrate_alpha(beta, target)
+            beta_h = integrate(steady_shape(mu, gamma))
+            alpha = calibrate_alpha(beta_h, target)
             notices.append(
-                f"calibrated alpha = {alpha:.12g} from beta = {beta:.12g} "
+                f"calibrated alpha = {alpha:.12g} from beta_h = {beta_h:.12g} "
                 f"for P_eq = {target:g}"
             )
         lo, hi = TECHNICAL_WINDOW

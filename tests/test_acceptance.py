@@ -78,12 +78,12 @@ def test_criterion_02_equilibrium_round_trip():
     result = simulate_saturating(params, report.rho_eq, dt=1.0, t_end=100.0)
     headcount = np.asarray(result.headcount)
     drift = float(np.max(np.abs(headcount - 1000.0)) / 1000.0)
-    ok = exact and drift < 0.02
+    ok = exact and drift < 1e-9
     check(
         2,
         "calibrated equilibrium holds under simulation",
         ok,
-        f"P_eq = {report.p_eq!r}, max headcount drift {drift:.3%} over 100y",
+        f"P_eq = {report.p_eq!r}, max headcount drift {drift:.3e} relative over 100y",
     )
 
 

@@ -53,11 +53,13 @@ class TestHiringRate:
         assert parts["attrition"] == parts["retirement"] == 0.0
 
     def test_flat_profile_closed_form(self, grid50):
-        # omega = 1, mu = 0.1, rho = 10: h = mu*P + rho(z_max) = 50 + 10
+        # omega = 1, mu = 0.1, rho = 10: h = (mu*P + rho(z_max)) / hire_cost
+        # = (50 + 10) / 1.02; the entry node's hires enter node 1, so the
+        # uniform hiring density costs 51 nodes * 1/50
         h, parts = hiring_rate(PopulationState(0.0, constant_profile(grid50, 10.0)), flat_params(grid50))
-        assert h == pytest.approx(60.0, rel=1e-14)
-        assert parts["attrition"] == pytest.approx(50.0, rel=1e-14)
-        assert parts["retirement"] == pytest.approx(10.0, rel=1e-14)
+        assert h == pytest.approx(60.0 / 1.02, rel=1e-14)
+        assert parts["attrition"] == pytest.approx(50.0 / 1.02, rel=1e-14)
+        assert parts["retirement"] == pytest.approx(10.0 / 1.02, rel=1e-14)
         assert parts["aging"] == pytest.approx(0.0, abs=1e-12)
 
     def test_parts_sum_to_rate(self, grid50):
@@ -120,9 +122,16 @@ class TestStepBudget:
         assert np.all(out.rho.values == 0.0)
 
     def test_golden_flat_fixed_point(self, grid50):
-        # omega = 1, mu = 0.1, rho = 10, uniform hiring, dt = 0.5, dz = 1:
-        # effective intake balances attrition and transport exactly, node by node
-        par = flat_params(grid50)
+        # omega = 1, mu = 0.1, rho = 10, hiring uniform over nodes 1..n (so none
+        # enters at node 1 twice), dt = 0.5, dz = 1: effective intake
+        # balances attrition and transport exactly, node by node
+        uniform = np.ones(grid50.n + 1)
+        uniform[0] = 0.0
+        par = BudgetParams.build(
+            constant_profile(grid50, 0.1),
+            normalize_distribution(AgeProfile(grid50, uniform)),
+            constant_profile(grid50, 1.0),
+        )
         state = PopulationState(0.0, constant_profile(grid50, 10.0))
         out = step_budget(state, par, 0.5)
         expected = np.full(grid50.n + 1, 10.0)

@@ -3,6 +3,9 @@
 import json
 import re
 
+import numpy as np
+import pytest
+
 from swp.cli import main
 
 
@@ -44,11 +47,12 @@ class TestEquilibriumCommand:
         assert err == ""
         assert "note: hiring profile mass 0.845 normalized to 1" in out
         assert (
-            "note: calibrated alpha = 2.42608585092e-05 from beta = 25.2608585092 "
+            "note: calibrated alpha = 2.39966579994e-05 from beta_h = 24.9966579994 "
             "for P_eq = 1000" in out
         )
         assert "beta = 25.2609" in out
-        assert "alpha = 2.42609e-05" in out
+        assert "beta_h = 24.9967" in out
+        assert "alpha = 2.39967e-05" in out
         assert "P_eq = 1000, regime = Bistable" in out
         assert "technical_window=false" in out
         assert (tmp_path / "rho_eq.csv").is_file()
@@ -214,9 +218,9 @@ class TestOptimizeCommand:
         )
         assert code == 0
         assert "z0 = 53.5, case = InternalCareers" in out
-        assert "b = 99.7635" in out
-        assert "C = 1.53797e+07 (= E * d(z0), E = 23654.7)" in out
-        assert "current cost = 1.79871e+07, saving = 14.5%" in out
+        assert "b = 31.1197" in out
+        assert "C = 1.53798e+07 (= E * d(z0), E = 23654.7)" in out
+        assert "current cost = 1.78711e+07, saving = 13.9%" in out
         for name in ("d.csv", "rho_star.csv", "d.svg", "wage.svg", "rho_star.svg"):
             assert (tmp_path / name).is_file()
 
@@ -230,7 +234,7 @@ class TestOptimizeCommand:
         assert code == 0
         assert "warning: optimal hiring age sits at the retirement age" in out
         assert "z0 = 70, case = ExpertPool" in out
-        assert "current cost = 1.26062e+07, saving = 33.3%" in out
+        assert "current cost = 1.25467e+07, saving = 33.0%" in out
 
     def test_proportional_wage_reports_tie_break(self, capsys, tmp_path):
         doc = {
@@ -264,6 +268,62 @@ class TestOptimizeCommand:
         assert err.startswith("error[invalid]:")
         assert "needs an optimize scenario, got model 'budget'" in err
         assert not any(tmp_path.iterdir())
+
+
+def read_csv(path):
+    """Header and float columns of a CSV the CLI wrote."""
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), np.array([[float(v) for v in r.split(",")] for r in rows]).T
+
+
+def extreme_attrition_doc(model, dz, scenarios_dir):
+    """bu-3's grid and wage, or bu-a's hiring, under constant attrition 20/yr."""
+    profiles = {"attrition": {"constant": 20.0}}
+    if model == "optimize":
+        profiles["cost"] = {"csv": str(scenarios_dir / "bu3-wage.csv")}
+        return {
+            "name": f"extreme-{model}", "model": model,
+            "grid": {"z_min": 20, "z_max": 70, "dz": dz}, "profiles": profiles,
+            "optimize": {"experience_total": 23654.659370638},
+        }
+    bundled = json.loads((scenarios_dir / f"bu-a-{model}.json").read_text())
+    doc = {**bundled, "name": f"extreme-{model}", "grid": {"z_min": 20, "z_max": 70, "dz": dz}}
+    doc["profiles"] = {**bundled["profiles"], **profiles}
+    doc["time"] = {"t_end": 1.0, "snapshot_every": 1.0}
+    if model == "saturating":
+        doc["saturating"] = {"alpha": 1e-4}
+    return doc
+
+
+@pytest.mark.parametrize("dz", [0.25, 0.01])
+class TestExtremeAttrition:
+    """Cohort survival (1/(1 + 20 dz))^j underflows a float; every command still runs."""
+
+    def _run(self, capsys, tmp_path, scenarios_dir, command, model, dz):
+        doc = extreme_attrition_doc(model, dz, scenarios_dir)
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, command, "--scenario", str(write_doc(tmp_path, doc)), "--out", str(out)
+        )
+        assert code == 0, err
+        for path in out.glob("*.csv"):
+            assert np.all(np.isfinite(read_csv(path)[1])), path.name
+        return stdout, out
+
+    def test_optimize(self, capsys, tmp_path, scenarios_dir, dz):
+        stdout, out = self._run(capsys, tmp_path, scenarios_dir, "optimize", "optimize", dz)
+        (_, (z, d)) = read_csv(out / "d.csv")
+        youngest = z[np.nonzero(d <= d.min() * (1.0 + 1e-12))[0][0]]
+        assert re.search(rf"^z0 = {youngest:g}[ ,]", stdout, re.M)
+
+    def test_equilibrium(self, capsys, tmp_path, scenarios_dir, dz):
+        stdout, out = self._run(capsys, tmp_path, scenarios_dir, "equilibrium", "saturating", dz)
+        assert "P_eq = 0, regime = ExtinctionOnly" in stdout
+        assert (out / "rho_eq.csv").is_file()
+
+    def test_budget_simulate(self, capsys, tmp_path, scenarios_dir, dz):
+        _, out = self._run(capsys, tmp_path, scenarios_dir, "simulate", "budget", dz)
+        assert (out / "entropy.csv").is_file()
 
 
 class TestValidateCommand:
@@ -334,6 +394,29 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert err.startswith("error[infeasible-calibration]:")
 
+    def test_calibration_near_threshold_exits_2(self, capsys, tmp_path):
+        # attrition 1.02/yr, hiring at ages 21-23: beta = 1.064 > 1, but the
+        # scheme sustains beta_h = 0.980 < 1 per unit hiring, so no positive
+        # equilibrium exists to calibrate to
+        doc = {
+            "name": "near-threshold",
+            "model": "saturating",
+            "grid": {"z_min": 20, "z_max": 70, "dz": 1.0},
+            "profiles": {
+                "attrition": {"constant": 1.02},
+                "hiring": {"piecewise": [[20, 0], [21, 1], [23, 1], [24, 0], [70, 0]]},
+                "initial": {"constant": 1.0},
+            },
+            "saturating": {"p_eq_target": 500.0},
+        }
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "equilibrium", "--scenario", str(write_doc(tmp_path, doc)), "--out", str(out)
+        )
+        assert code == 2
+        assert err.startswith("error[infeasible-calibration]: beta_h = 0.980392 <= 1")
+        assert not out.exists()
+
     def test_scenario_cfl_violation_exits_3(self, capsys, tmp_path):
         doc = json.loads(json.dumps(BUDGET_DOC))
         doc["time"] = {"dt": 2.0, "t_end": 10.0}
@@ -359,6 +442,20 @@ class TestOutputDirectories:
         target = tmp_path / "bu-a-saturating"
         assert (target / "rho_eq.csv").is_file()
         assert str(target / "rho_eq.csv") in out
+
+    def test_name_escaping_the_root_rejected(self, capsys, scenarios_dir, tmp_path, monkeypatch):
+        doc = json.loads((scenarios_dir / "bu-1-optimize.json").read_text())
+        doc["name"] = "../escaped"
+        work = tmp_path / "work"
+        work.mkdir()
+        root = tmp_path / "root"
+        monkeypatch.setenv("SWP_OUT_DIR", str(root))
+        code, out, err = run(capsys, "optimize", "--scenario", str(write_doc(work, doc)))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[bad-value]: $.name:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
+        assert [p.name for p in work.iterdir()] == ["scenario.json"]
 
     def test_cwd_fallback(self, capsys, scenarios_dir, tmp_path, monkeypatch):
         monkeypatch.delenv("SWP_OUT_DIR", raising=False)

@@ -61,6 +61,14 @@ def test_readme_library_example_runs(monkeypatch):
     assert namespace["z0"] == 44.5  # the value the example's comment states
 
 
+def test_readme_optimize_example_matches_cli(capsys, tmp_path):
+    (block,) = [b for b in fenced_blocks((REPO / "README.md").read_text(), "text")
+                if b.startswith("z0 = ")]
+    scenario = SCENARIOS / "bu-3-optimize.json"
+    assert main(["optimize", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith(block)
+
+
 def test_schema_doc_example_loads():
     example = fenced_blocks(SCHEMA_DOC.read_text(), "json")[0]
     scenario = scenario_from_dict(json.loads(example))

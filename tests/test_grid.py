@@ -12,9 +12,9 @@ from swp import (
     ValidationError,
     build_grid,
     constant_profile,
-    cumulative_attrition,
     integrate,
     interpolate_profile,
+    log_survival,
     normalize_distribution,
 )
 
@@ -41,36 +41,26 @@ class TestBuildGrid:
             build_grid(20.0, 70.0, -1.0)
 
 
-class TestCumulativeAttrition:
+class TestLogSurvival:
     def test_constant_hazard_closed_form(self, grid50):
-        ca = cumulative_attrition(constant_profile(grid50, 0.1))
-        assert ca.M[-1] == pytest.approx(5.0, abs=1e-12)
-        assert ca.survival[-1] == pytest.approx(np.exp(-5.0), rel=1e-12)
-
-    def test_hazard_30_percent(self):
-        g = build_grid(20.0, 30.0, 1.0)
-        ca = cumulative_attrition(constant_profile(g, 0.3))
-        assert ca.M[-1] == pytest.approx(3.0, abs=1e-12)
+        # the schemes thin a cohort by 1/(1 + mu*dz) per cell
+        log_s = log_survival(constant_profile(grid50, 0.1))
+        assert log_s[0] == 0.0
+        np.testing.assert_allclose(log_s, -np.arange(51) * np.log(1.1), rtol=1e-14)
 
     def test_zero_hazard(self, grid50):
-        ca = cumulative_attrition(constant_profile(grid50, 0.0))
-        assert np.all(ca.M == 0.0)
-        assert np.all(ca.survival == 1.0)
+        assert np.all(log_survival(constant_profile(grid50, 0.0)) == 0.0)
 
-    @given(
-        lo=st.floats(0.0, 0.2),
-        hi=st.floats(0.2, 0.5),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_monotone_in_hazard(self, lo, hi):
-        g = build_grid(20.0, 70.0, 1.0)
-        ca_lo = cumulative_attrition(constant_profile(g, lo))
-        ca_hi = cumulative_attrition(constant_profile(g, hi))
-        assert np.all(ca_lo.M <= ca_hi.M + 1e-15)
+    def test_extreme_hazard_stays_finite(self):
+        # S_n = 1.2**-5000 underflows a float; its log does not
+        g = build_grid(20.0, 70.0, 0.01)
+        log_s = log_survival(constant_profile(g, 20.0))
+        assert np.all(np.isfinite(log_s))
+        assert log_s[-1] == pytest.approx(-5000 * np.log(1.2), rel=1e-12)
 
     def test_negative_hazard_rejected(self, grid50):
-        with pytest.raises(ValidationError):
-            cumulative_attrition(constant_profile(grid50, -0.1))
+        with pytest.raises(ValidationError, match="attrition rate negative"):
+            log_survival(constant_profile(grid50, -0.1))
 
 
 class TestIntegrate:

@@ -24,6 +24,8 @@ from swp import (
     stationary_mixture,
     has_tied_minimum,
 )
+from swp import budget, saturating
+from swp.results import advance
 
 
 def curves_flat_wage(dz=0.25, w0=40000.0):
@@ -45,8 +47,26 @@ class TestOptimizerCurves:
             interpolate_profile(g, [20, 70], [30000.0, 60000.0]),
             constant_profile(g, 0.3),
         )
-        assert np.all(np.diff(curves.f) <= 0.0)
-        assert np.all(np.diff(curves.g) <= 0.0)
+        # f and g are tails of w*S and z*S divided by S_{i-1}; the tails shrink
+        s_prev = np.exp(swp.log_survival(curves.mu)[:-1])
+        assert np.all(np.diff(curves.f[1:] * s_prev) <= 0.0)
+        assert np.all(np.diff(curves.g[1:] * s_prev) <= 0.0)
+
+    def test_tails_follow_the_cohort_recurrence(self):
+        # a cohort hired at node i is thinned by 1/(1 + mu_i dz) on entry:
+        # f_i = (dz w_i + f_{i+1}) / (1 + mu_i dz), and node 0 enters as node 1
+        g = build_grid(20.0, 70.0, 0.5)
+        wage = interpolate_profile(g, [20, 70], [30000.0, 60000.0])
+        mu = interpolate_profile(g, [20, 45, 70], [0.3, 0.05, 0.2])
+        curves = optimizer_curves(wage, mu)
+        fac = 1.0 + mu.values[1:-1] * g.dz
+        np.testing.assert_allclose(
+            curves.f[1:-1] * fac, g.dz * wage.values[1:-1] + curves.f[2:], rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            curves.g[1:-1] * fac, g.dz * g.nodes[1:-1] + curves.g[2:], rtol=1e-12
+        )
+        assert curves.f[0] == curves.f[1] and curves.g[0] == curves.g[1]
 
     def test_proportional_wage_collapses_d(self):
         g = build_grid(20.0, 70.0, 0.25)
@@ -62,12 +82,15 @@ class TestOptimizerCurves:
         curves, w0 = curves_flat_wage()
         g = curves.grid
         # left-rule tails: f = w0 (z_max - z), g = (z_max - z)(z_max + z - dz)/2
+        # from node 1 on; node 0 takes node 1's values (hires at z_min enter
+        # the first cell)
         discrete = 2.0 * w0 / (70.0 + g.nodes - g.dz)
-        np.testing.assert_allclose(curves.d[:-1], discrete[:-1], rtol=1e-12)
+        np.testing.assert_allclose(curves.d[1:-1], discrete[1:-1], rtol=1e-12)
+        assert curves.d[0] == curves.d[1]
         # continuum limit d(z) = 2 w0 / (z_max + z), O(dz) away
         target = 2.0 * w0 / (70.0 + g.nodes)
         np.testing.assert_allclose(curves.d[:-1], target[:-1], rtol=3e-3)
-        assert np.all(np.diff(curves.d) < 0.0)
+        assert np.all(np.diff(curves.d[1:]) < 0.0)
         assert optimal_hiring_age(curves) == 70.0
         assert has_tied_minimum(curves) is False
 
@@ -104,7 +127,6 @@ class TestOptimalStructure:
         assert pol.intake == pytest.approx(5.0, rel=5e-3)
         assert integrate(pol.rho_star) == pytest.approx(50.0, rel=5e-3)
         assert pol.case is PolicyCase.INTERNAL_CAREERS
-        assert pol.hiring_mass[0] == 60.0
 
     def test_constraint_closure_exact(self):
         g = build_grid(20.0, 70.0, 0.5)
@@ -182,7 +204,7 @@ class TestStationaryMixture:
         rng = np.random.default_rng(42)
         u = AgeProfile(g, rng.uniform(0.0, 3.0, g.n + 1))
         mix = stationary_mixture(curves, u)
-        weights = u.values[:-1] * g.dz / curves.survival[:-1]
+        weights = u.values[:-1] * g.dz
         exp_cost = float((weights * curves.f[:-1]).sum())
         exp_knowledge = float((weights * curves.g[:-1]).sum())
         cost = integrate(AgeProfile(g, wage.values * mix.rho.values))
@@ -217,7 +239,7 @@ class TestOptimizePipeline:
         pol = optimize(sc.omega, sc.mu, KnowledgeConstraint(sc.experience_total))
         assert pol.z0 == 53.5
         assert pol.case is PolicyCase.INTERNAL_CAREERS
-        assert pol.cost == pytest.approx(15379670.55494281, rel=1e-9)
+        assert pol.cost == pytest.approx(15379845.683472833, rel=1e-9)
 
     def test_expert_pool_scenario(self, scenarios_dir):
         sc = swp.load_scenario(scenarios_dir / "bu-1-optimize.json")
@@ -226,6 +248,30 @@ class TestOptimizePipeline:
             pol = optimize(sc.omega, sc.mu, KnowledgeConstraint(sc.experience_total))
         assert pol.z0 == 70.0
         assert pol.case is PolicyCase.EXPERT_POOL
+
+
+@pytest.mark.parametrize("name", ["bu-2-optimize.json", "bu-3-optimize.json"])
+@pytest.mark.parametrize("model", ["saturating", "budget"])
+def test_rho_star_is_a_fixed_point_of_the_scheme(scenarios_dir, name, model):
+    # one step of the scheme's update, hiring at rate b at z0 only, leaves
+    # rho_star in place; bu-2 hires at the entry age, bu-3 at an interior one
+    sc = swp.load_scenario(scenarios_dir / name)
+    curves = optimizer_curves(sc.omega, sc.mu)
+    pol = optimal_structure(
+        curves, optimal_hiring_age(curves), KnowledgeConstraint(sc.experience_total)
+    )
+    g = sc.grid
+    hire = np.zeros(g.n + 1)
+    hire[round((pol.z0 - g.z_min) / g.dz)] = 1.0 / g.dz
+    hire = AgeProfile(g, hire)
+    if model == "saturating":
+        update = saturating._stepper(swp.SaturatingParams.build(1.0, sc.mu, hire), g.dz)
+    else:
+        par = swp.BudgetParams.build(sc.mu, hire, sc.omega)
+        update = budget._stepper(par, swp.default_budget_dt(par))
+    rho = pol.rho_star.values
+    moved = np.abs(advance(rho, update, pol.intake) - rho).sum()
+    assert moved <= 1e-12 * np.abs(rho).sum()
 
 
 class TestPolicySavings:
@@ -254,5 +300,5 @@ class TestPolicySavings:
             curves, optimal_hiring_age(curves), KnowledgeConstraint(sc.experience_total)
         )
         report = policy_savings(current, sc.omega, pol)
-        assert report.current_cost == pytest.approx(18430560.762311876, rel=1e-9)
-        assert report.saving_fraction == pytest.approx(0.13067567972197758, rel=1e-9)
+        assert report.current_cost == pytest.approx(18307392.747962724, rel=1e-9)
+        assert report.saving_fraction == pytest.approx(0.12111427673495034, rel=1e-9)

@@ -109,7 +109,7 @@ class TestEquilibria:
         )
         beta = recruitment_index(mu, gam)
         assert beta == pytest.approx(25.260858509190122, rel=1e-12)  # regression pin
-        alpha = calibrate_alpha(beta, 1000.0)
+        alpha = calibrate_alpha(swp.integrate(swp.steady_shape(mu, gam)), 1000.0)
         report = equilibria(SaturatingParams.build(alpha, mu, gam))
         assert report.p_eq == 1000.0  # exact bit-level round trip
         assert report.regime is Regime.BISTABLE
@@ -124,6 +124,19 @@ class TestEquilibria:
         assert report.regime is Regime.EXTINCTION_ONLY
         assert report.p_eq == 0.0
         assert np.all(report.rho_eq.values == 0.0)
+
+    def test_near_threshold_follows_the_scheme(self, grid50):
+        # beta > 1 but the scheme sustains beta_h < 1 per unit hiring: no
+        # positive equilibrium, whatever the continuous limit says
+        mu = constant_profile(grid50, 1.02)
+        gam = normalize_distribution(
+            swp.interpolate_profile(grid50, [20, 21, 23, 24, 70], [0, 1, 1, 0, 0])
+        )
+        report = equilibria(SaturatingParams.build(1e-4, mu, gam))
+        assert report.beta > 1.0 >= report.beta_h
+        assert report.beta_h == pytest.approx(1.0 / 1.02, rel=1e-12)
+        assert report.regime is Regime.EXTINCTION_ONLY
+        assert report.p_eq == 0.0
 
     def test_rho_eq_integrates_to_p_eq(self):
         g = build_grid(20.0, 70.0, 0.1)
@@ -165,24 +178,30 @@ class TestStepSaturating:
         assert out.t == 1.0
 
     def test_pure_advection_shift(self, grid50):
-        # zero attrition; hiring mass confined to the entry cell never feeds
-        # the j >= 1 updates, so dt = dz transports the state one cell right
+        # zero attrition; hiring mass confined to the entry node enters node 1
+        # only, so dt = dz transports the state one cell right and adds the
+        # hires dt * a * gamma_0 at node 1
         rng = np.random.default_rng(7)
         rho = rng.uniform(0.0, 30.0, grid50.n + 1)
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.0), entry_mass_gamma(grid50))
-        out = step_saturating(PopulationState(0.0, AgeProfile(grid50, rho)), par, 1.0)
+        state = PopulationState(0.0, AgeProfile(grid50, rho))
+        a = hiring_response(par, state.headcount)
+        out = step_saturating(state, par, 1.0)
         assert out.rho.values[0] == 0.0
-        np.testing.assert_allclose(out.rho.values[1:], rho[:-1], rtol=1e-13)
+        assert out.rho.values[1] == pytest.approx(rho[0] + a * par.gamma.values[0], rel=1e-13)
+        np.testing.assert_allclose(out.rho.values[2:], rho[1:-1], rtol=1e-13)
 
     def test_golden_one_step(self, grid50):
         # flat state 10, alpha 1e-6, mu 0.1, uniform hiring, dt = dz = 1:
-        # P = 500, a = 400, every interior node -> (10 + 400*0.02)/1.1
+        # P = 500, a = 400, every interior node -> (10 + 400*0.02)/1.1; the
+        # entry node's hires enter node 1, which gets (10 + 400*0.04)/1.1
         par = SaturatingParams.build(
             1e-6, constant_profile(grid50, 0.1), constant_profile(grid50, 0.02)
         )
         out = step_saturating(PopulationState(0.0, constant_profile(grid50, 10.0)), par, 1.0)
         expected = np.full(grid50.n + 1, 18.0 / 1.1)
         expected[0] = 0.0
+        expected[1] = 26.0 / 1.1
         np.testing.assert_allclose(out.rho.values, expected, rtol=1e-14)
 
     def test_cfl_violation_rejected(self, grid50):
@@ -308,7 +327,7 @@ class TestDetectSteadyState:
             sc.saturating_params(), sc.rho0, dt=0.1, t_end=200.0, snapshot_every=1.0
         )
         t_star = swp.detect_steady_state(res, tol=1e-3, scale=res.headcount[0])
-        assert t_star == 23.0
+        assert t_star == 28.0
 
     def test_bad_tolerance_rejected(self, grid50):
         flat = np.full(grid50.n + 1, 4.0)

@@ -75,14 +75,14 @@ class TestFrozenScenarios:
     def test_calibrated_alpha_and_beta(self, scenarios_dir):
         sc = load_scenario(scenarios_dir / "bu-a-saturating.json")
         assert sc.beta == pytest.approx(25.260858509190122, rel=1e-13)
-        assert sc.alpha == pytest.approx(2.426085850919012e-05, rel=1e-13)
+        assert sc.alpha == pytest.approx(2.399665799941284e-05, rel=1e-13)
         assert sc.model == "saturating"
 
     def test_notices(self, scenarios_dir):
         sc = load_scenario(scenarios_dir / "bu-a-saturating.json")
         assert "hiring profile mass 0.845 normalized to 1" in sc.notices
         assert (
-            "calibrated alpha = 2.42608585092e-05 from beta = 25.2608585092 "
+            "calibrated alpha = 2.39966579994e-05 from beta_h = 24.9966579994 "
             "for P_eq = 1000" in sc.notices
         )
         assert any("outside the technical window" in n for n in sc.notices)
@@ -187,6 +187,13 @@ class TestErrorCodes:
         with pytest.raises(ValidationError) as e:
             scenario_from_dict(doc_budget(model="exponential"))
         assert code_of(e) == "bad-model"
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+    def test_name_must_be_one_path_component(self, name):
+        # the name becomes the output subdirectory under $SWP_OUT_DIR
+        with pytest.raises(ValidationError) as e:
+            scenario_from_dict(doc_budget(name=name))
+        assert (code_of(e), e.value.path) == ("bad-value", "$.name")
 
     def test_negative_attrition(self):
         doc = doc_budget()
