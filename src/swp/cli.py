@@ -9,6 +9,7 @@ Exit codes are stable: 0 success (warnings included), 1 validation problems,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -63,10 +64,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a saturating or budget scenario")
     common(p_sim)
     p_sim.add_argument("--out", help="output directory")
-    p_sim.add_argument("--dt", type=float, help="override the time step (years)")
-    p_sim.add_argument("--t-end", type=float, dest="t_end", help="override the horizon (years)")
+    p_sim.add_argument("--dt", type=_finite_positive, help="override the time step (years)")
     p_sim.add_argument(
-        "--tol", type=float, default=1e-3, help="steady-state detection tolerance (relative L1)"
+        "--t-end", type=_finite_positive, dest="t_end", help="override the horizon (years)"
+    )
+    p_sim.add_argument(
+        "--tol", type=_finite_positive, default=1e-3,
+        help="steady-state detection tolerance (relative L1)",
     )
     p_sim.set_defaults(handler=cmd_simulate)
 
@@ -79,6 +83,17 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_val)
     p_val.set_defaults(handler=cmd_validate)
     return parser
+
+
+def _finite_positive(text: str) -> float:
+    """argparse type for the numeric overrides: a finite number > 0, checked before the run."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):

@@ -10,8 +10,9 @@ which is the convention the transport schemes are written against.  Profiles
 are immutable: the value array is read-only and every operation returns a
 new profile.
 
-Everything stationary is a sum against one primitive, the schemes' cohort
-survival S_j = prod_{k=1..j} 1/(1 + mu_k*dz) (:func:`log_survival`).
+Everything stationary is a sum against a cohort survival, the schemes'
+S_j = prod_{k=1..j} 1/(1 + mu_k*dz) (:func:`log_survival`) or its continuous
+limit exp(-M_j), taken in log space; cohort tails go through :func:`_log_tail`.
 """
 
 from __future__ import annotations
@@ -162,29 +163,34 @@ def hire_source(gamma: np.ndarray) -> np.ndarray:
     return source
 
 
+def _log_tail(weights: np.ndarray, log_s: np.ndarray) -> np.ndarray:
+    """log sum_{j=i..n-1} w_j S_j for i = 0..n, -inf at n (zero weights count as -inf).
+
+    ``weights`` holds w_0..w_{n-1}; ``log_s`` holds log S_0..log S_n.
+    """
+    with np.errstate(divide="ignore"):
+        terms = np.log(weights) + log_s[:-1]
+    return np.append(np.logaddexp.accumulate(terms[::-1])[::-1], -np.inf)
+
+
 def discounted_tenure(mu: AgeProfile) -> np.ndarray:
     """Expected remaining tenure of a hire entering at each node.
 
     T_i = integral over [z_i, z_max] of exp(-(M(z) - M(z_i))) dz with the
-    cumulative attrition M_j = dz * sum_{k<j} mu_k (left rule), evaluated
-    cell by cell with the per-cell survival factor and trapezoidal endpoint
-    weights, so the recurrence stays stable for arbitrarily large attrition:
+    cumulative attrition M_j = dz * sum_{k<j} mu_k (left rule), taken cell by
+    cell with the survival s_j = exp(-(M_{j+1} - M_j)) across cell j and
+    trapezoidal endpoint weights:
 
-        T_n = 0,   T_i = s_i * T_{i+1} + dz * (1 + s_i) / 2,
+        T_i = sum_{j=i..n-1} exp(-(M_j - M_i)) * dz * (1 + s_j) / 2.
 
-    where s_i = exp(-(M_{i+1} - M_i)) is the survival across cell i.  This is
-    the continuous-limit survival, not the schemes' (see :func:`log_survival`).
+    Summed in log space (:func:`_log_tail`), T stays finite for any attrition.
+    exp(-M) is the schemes' survival (:func:`log_survival`) in the limit dz -> 0.
     """
     require_nonnegative_attrition(mu)
     dz = mu.grid.dz
-    n = mu.grid.n
     M = np.concatenate(([0.0], np.cumsum(mu.values[:-1]) * dz))
-    s = np.exp(-(M[1:] - M[:-1]))
-    T = np.empty(n + 1)
-    T[n] = 0.0
-    for i in range(n - 1, -1, -1):
-        T[i] = s[i] * T[i + 1] + 0.5 * dz * (1.0 + s[i])
-    return T
+    weights = 0.5 * dz * (1.0 + np.exp(-np.diff(M)))
+    return np.exp(_log_tail(weights, -M) + M)
 
 
 def steady_shape(mu: AgeProfile, gamma: AgeProfile) -> AgeProfile:

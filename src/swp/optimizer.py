@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import AgeGrid, AgeProfile, log_survival, steady_shape, _same_grid
+from .numerics import AgeGrid, AgeProfile, log_survival, steady_shape, _log_tail, _same_grid
 from .results import PopulationState
 
 # Relative slack when hunting for tied minima of d (pure float noise).
@@ -80,20 +80,13 @@ def optimizer_curves(wage: AgeProfile, mu: AgeProfile) -> OptimizerCurves:
     if np.any(wage.values < 0):
         raise ValidationError("wage profile has negative entries")
     log_s = log_survival(mu)
-
-    def tail(weights: np.ndarray) -> np.ndarray:
-        # dz * sum_{j=i..n-1} weights_j S_j / S_{i-1} for i = 1..n; node 0 takes
-        # node 1's value, as hires at z_min enter the first cell
-        with np.errstate(divide="ignore"):
-            terms = np.log(weights[1:-1]) + log_s[1:-1]
-        log_f = np.append(np.logaddexp.accumulate(terms[::-1])[::-1], -np.inf) - log_s[:-1]
-        return grid.dz * np.exp(np.insert(log_f, 0, log_f[0]))
-
-    f = tail(wage.values)
-    g = tail(grid.nodes)
-    d = np.empty(grid.n + 1)
-    d[:-1] = f[:-1] / g[:-1]
-    d[-1] = wage.values[-1] / grid.z_max  # limit of f/g as the tail shrinks
+    # dz * sum_{j=i..n-1} w_j S_j / S_{i-1} at node i; node 0 takes node 1's
+    # value, as hires at z_min enter the first cell
+    i = np.maximum(np.arange(grid.n + 1), 1)
+    f = grid.dz * np.exp(_log_tail(wage.values[:-1], log_s)[i] - log_s[i - 1])
+    g = grid.dz * np.exp(_log_tail(grid.nodes[:-1], log_s)[i] - log_s[i - 1])
+    # d(z_max) is the limit of f/g as the tail shrinks
+    d = np.append(f[:-1] / g[:-1], wage.values[-1] / grid.z_max)
     return OptimizerCurves(grid, wage, mu, f, g, d)
 
 

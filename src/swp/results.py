@@ -70,10 +70,10 @@ class SimulationResult:
 
 def step_count(t_end: float, dt: float) -> int:
     """Number of steps needed to reach t_end (last step may overshoot)."""
-    if not (dt > 0):
-        raise ValidationError(f"time step must be positive, got {dt}")
-    if not (t_end > 0):
-        raise ValidationError(f"end time must be positive, got {t_end}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValidationError(f"time step must be finite and positive, got {dt}")
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ValidationError(f"end time must be finite and positive, got {t_end}")
     return max(math.ceil(t_end / dt - 1e-9), 1)
 
 
@@ -191,8 +191,8 @@ def detect_steady_state(
     profile), stays below ``tol`` for every later snapshot; None if the
     trajectory never settles.  A constant trajectory settles at t = 0.
     """
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValidationError(f"tolerance must be finite and positive, got {tol}")
     snaps = result.snapshots
     if not snaps:
         return None

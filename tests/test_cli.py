@@ -153,17 +153,33 @@ class TestSimulateCommand:
         base = json.loads((scenarios_dir / "bu-a-saturating.json").read_text())
         base["name"] = "from-equilibrium"
         base["profiles"]["initial"] = {"csv": "rho_eq.csv"}
-        base["saturating"] = {"alpha": 2.426085850919012e-05}
+        base["saturating"] = {"p_eq_target": 1000}
         doc_path = write_doc(eq_dir, base)
         code, out, _ = run(
             capsys,
             "simulate",
             "--scenario", str(doc_path),
             "--out", str(tmp_path / "sim"),
-            "--tol", "0.02",
+            "--tol", "1e-9",
         )
         assert code == 0
-        assert "steady state reached at t = 0 (tol 0.02 relative L1)" in out
+        assert "steady state reached at t = 0 (tol 1e-09 relative L1)" in out
+
+    @pytest.mark.parametrize("flag", ["--dt", "--t-end", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_numeric_flag_is_usage_error(self, capsys, scenarios_dir, tmp_path, flag, value):
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--scenario", str(scenarios_dir / "bu-a-saturating.json"),
+            "--out", str(out_dir),
+            flag, value,
+        )
+        assert code == 1
+        assert err.startswith(f"error[usage]: argument {flag}: expected a finite positive number")
+        assert out == ""
+        assert not out_dir.exists()
 
     def test_cfl_violation_exits_3(self, capsys, scenarios_dir, tmp_path):
         code, out, err = run(

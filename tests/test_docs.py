@@ -5,10 +5,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swp import scenario_from_dict
 from swp.cli import main
+from swp.results import snapshot_mask
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -85,3 +87,12 @@ def test_output_table_columns_match_written_headers(written_headers):
         assert written == documented, pattern
     for name in written_headers:
         assert any(fnmatch.fnmatch(name, p) for p in table), f"{name} is not in the doc's table"
+
+
+def test_snapshot_default_matches_snapshot_mask():
+    text = " ".join(SCHEMA_DOC.read_text().split())
+    assert "`snapshot_every` — profile snapshot spacing in years (default: every step is kept" in text
+    assert "The initial and final profiles are always kept." in text
+    assert snapshot_mask(7, 0.5, None).all()
+    keep = snapshot_mask(7, 0.5, 3.0)  # stride 6: steps 0 and 6, plus the final step
+    assert np.flatnonzero(keep).tolist() == [0, 6, 7]

@@ -1,5 +1,7 @@
 """Grid, profile, quadrature and hazard primitives."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,13 @@ from swp import (
     ValidationError,
     build_grid,
     constant_profile,
+    discounted_tenure,
     integrate,
     interpolate_profile,
     log_survival,
     normalize_distribution,
 )
+from swp.numerics import _log_tail
 
 
 class TestBuildGrid:
@@ -61,6 +65,52 @@ class TestLogSurvival:
     def test_negative_hazard_rejected(self, grid50):
         with pytest.raises(ValidationError, match="attrition rate negative"):
             log_survival(constant_profile(grid50, -0.1))
+
+
+def recurrence_tenure(mu):
+    """Reference: the backward recurrence T_n = 0, T_i = s_i T_{i+1} + dz (1 + s_i) / 2."""
+    dz, n = mu.grid.dz, mu.grid.n
+    M = np.concatenate(([0.0], np.cumsum(mu.values[:-1]) * dz))
+    s = np.exp(-(M[1:] - M[:-1]))
+    T = np.zeros(n + 1)
+    for i in range(n - 1, -1, -1):
+        T[i] = s[i] * T[i + 1] + 0.5 * dz * (1.0 + s[i])
+    return T
+
+
+class TestDiscountedTenure:
+    @pytest.mark.parametrize("dz", [1.0, 0.01])  # n = 50 and n = 5000
+    def test_matches_recurrence(self, dz):
+        g = build_grid(20.0, 70.0, dz)
+        mu = interpolate_profile(g, [20, 55, 62, 70], [0.022, 0.022, 0.10, 0.25])
+        T = discounted_tenure(mu)
+        assert T[-1] == 0.0
+        np.testing.assert_allclose(T, recurrence_tenure(mu), rtol=1e-12, atol=0.0)
+
+    def test_extreme_attrition_matches_recurrence(self):
+        # exp(-M) reaches exp(-1000) at z_max: the tail is summed in log space
+        mu = constant_profile(build_grid(20.0, 70.0, 0.01), 20.0)
+        T, ref = discounted_tenure(mu), recurrence_tenure(mu)
+        assert np.all(np.isfinite(T)) and np.all(np.isfinite(ref))
+        np.testing.assert_allclose(T, ref, rtol=1e-12, atol=0.0)
+
+    def test_negative_attrition_rejected(self, grid50):
+        with pytest.raises(ValidationError, match="attrition rate negative"):
+            discounted_tenure(constant_profile(grid50, -0.1))
+
+
+def test_log_tail_matches_direct_sum():
+    weights = np.array([0.0, 1.5, 0.0, 2.0, 0.25, 0.0])
+    log_s = np.array([0.0, -0.3, -1.1, -1.2, -2.0, -2.5, -4.0])
+    got = _log_tail(weights, log_s)
+    n = weights.size
+    assert got.shape == (n + 1,)
+    for i in range(n + 1):
+        total = math.fsum(w * math.exp(ls) for w, ls in zip(weights[i:], log_s[i:n]))
+        if total == 0.0:
+            assert got[i] == -np.inf
+        else:
+            assert got[i] == pytest.approx(math.log(total), rel=1e-14)
 
 
 class TestIntegrate:

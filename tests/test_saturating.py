@@ -22,7 +22,7 @@ from swp import (
     simulate_saturating,
     step_saturating,
 )
-from swp.results import max_stable_dt
+from swp.results import max_stable_dt, step_count
 
 CLOSED_FORM_BETA = (1.0 - np.exp(-5.0)) / 0.1  # entry-age hiring, mu = 0.1, span 50
 
@@ -242,7 +242,17 @@ class TestSimulateSaturating:
         assert np.all(res.headcount == 0.0)
         assert np.all(res.final.values == 0.0)
 
-    def test_equilibrium_hold_within_one_percent(self):
+    @pytest.mark.parametrize("t_end, dt", [(np.inf, 1.0), (np.nan, 1.0), (10.0, np.inf), (10.0, np.nan)])
+    def test_step_count_rejects_non_finite(self, t_end, dt):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            step_count(t_end, dt)
+
+    def test_infinite_horizon_rejected(self, grid50):
+        par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
+        with pytest.raises(ValidationError, match="end time must be finite"):
+            simulate_saturating(par, constant_profile(grid50, 1.0), dt=1.0, t_end=np.inf)
+
+    def test_equilibrium_hold_to_rounding(self):
         g = build_grid(20.0, 70.0, 0.25)
         mu = constant_profile(g, 0.05)
         gam = uniform_gamma(g, 66.0, 69.0)
@@ -251,7 +261,7 @@ class TestSimulateSaturating:
         report = equilibria(par)
         res = simulate_saturating(par, report.rho_eq, dt=0.25, t_end=100.0, snapshot_every=10.0)
         drift = np.max(np.abs(res.headcount - report.p_eq)) / report.p_eq
-        assert drift < 0.01
+        assert drift < 1e-12
 
     def test_run_equals_step_loop_bitwise(self, scenarios_dir):
         sc = swp.load_scenario(scenarios_dir / "bu-a-saturating.json")
@@ -334,3 +344,10 @@ class TestDetectSteadyState:
         res = self._result_from(grid50, [flat] * 3, [0.0, 1.0, 2.0])
         with pytest.raises(ValidationError):
             swp.detect_steady_state(res, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tolerance_rejected(self, grid50, tol):
+        flat = np.full(grid50.n + 1, 4.0)
+        res = self._result_from(grid50, [flat] * 3, [0.0, 1.0, 2.0])
+        with pytest.raises(ValidationError, match="finite and positive"):
+            swp.detect_steady_state(res, tol=tol)
