@@ -126,13 +126,18 @@ def hiring_rate(state: PopulationState, params: BudgetParams) -> tuple[float, di
     the standing workforce, entering with a minus sign).  The three parts
     sum to h exactly.
     """
-    attrition, retirement, aging = _hiring_terms(params)(state.rho.values)
+    terms = _hiring_terms(params, np.empty(params.grid.n))
+    attrition, retirement, aging = terms(state.rho.values)
     h = attrition + retirement + aging
     return h, {"attrition": attrition, "retirement": retirement, "aging": aging}
 
 
-def _hiring_terms(params: BudgetParams):
-    """(attrition, retirement, aging) of a density array, weights computed once."""
+def _hiring_terms(params: BudgetParams, scratch: np.ndarray):
+    """(attrition, retirement, aging) of a density array, weights computed once.
+
+    The weighted products are written into ``scratch`` (n entries, owned by
+    the caller) and summed from there.
+    """
     w = params.omega.values
     muw1 = params.mu.values[1:] * w[1:]
     w_end = w[-1]
@@ -141,9 +146,9 @@ def _hiring_terms(params: BudgetParams):
     denom = params.hire_cost
 
     def terms(rho: np.ndarray) -> tuple[float, float, float]:
-        attrition = float((muw1 * rho[1:]).sum() * dz) / denom
+        attrition = float(np.multiply(muw1, rho[1:], out=scratch).sum() * dz) / denom
         retirement = float(w_end * rho[-1]) / denom
-        aging = -float((wp_inner * rho[1:-1]).sum() * dz) / denom
+        aging = -float(np.multiply(wp_inner, rho[1:-1], out=scratch[:-1]).sum() * dz) / denom
         return attrition, retirement, aging
 
     return terms
@@ -166,13 +171,27 @@ def default_budget_dt(params: BudgetParams) -> float:
 
 
 def _stepper(params: BudgetParams, dt: float):
-    """Update of nodes 1..n for hiring rate h: the explicit conservative upwind scheme."""
+    """Update of nodes 1..n for hiring rate h: the explicit conservative upwind scheme.
+
+    ``update(rho, h, out)`` writes the n new node values into ``out``, which
+    must not share memory with ``rho``, through one scratch array per
+    stepper.  The ufuncs run in the order of the expression in the comment,
+    so every value is rounded as that expression rounds it.
+    """
     dz = params.grid.dz
     survive = 1.0 - params.mu.values[1:] * dt
     gamma1 = hire_source(params.gamma.values)
+    s = np.empty_like(gamma1)
 
-    def update(rho: np.ndarray, h: float) -> np.ndarray:
-        return rho[1:] * survive + dt * (h * gamma1 - (rho[1:] - rho[:-1]) / dz)
+    def update(rho: np.ndarray, h: float, out: np.ndarray) -> None:
+        # out = rho[1:] * survive + dt * (h * gamma1 - (rho[1:] - rho[:-1]) / dz)
+        np.subtract(rho[1:], rho[:-1], out=s)
+        np.divide(s, dz, out=s)
+        np.multiply(h, gamma1, out=out)
+        np.subtract(out, s, out=s)
+        np.multiply(dt, s, out=s)
+        np.multiply(rho[1:], survive, out=out)
+        np.add(out, s, out=out)
 
     return update
 
@@ -216,21 +235,30 @@ def relative_entropy(state: PopulationState, family: StationaryFamily, params: B
     is positive.  Along budget-model trajectories H is nonincreasing
     whenever the hire coefficients mu*omega - omega' are nonnegative.
     """
-    return _entropy(params, family.base)(state.rho.values)
+    return _entropy(params, family.base, np.empty(params.grid.n))(state.rho.values)
 
 
-def _entropy(params: BudgetParams, base: AgeProfile):
-    """Relative entropy of a density array, mask and weights computed once."""
-    b = base.values
-    mask = b > 0.0
-    w_mask = params.omega.values[mask]
-    b_mask = b[mask]
-    vals = np.zeros_like(b)
+def _entropy(params: BudgetParams, base: AgeProfile, scratch: np.ndarray):
+    """Relative entropy of a density array, mask and weights computed once.
+
+    w*rho^2 goes through ``scratch`` (n entries, owned by the caller) and is
+    divided by the base only where the base is positive; nodes outside the
+    support stay 0.
+    """
+    b1 = base.values[1:]
+    support = b1 > 0.0
+    if support.all():
+        support = True  # the masked ufunc loop is slower even when every entry is kept
+    w1 = params.omega.values[1:]
+    vals1 = np.zeros_like(base.values)[1:]
     dz = params.grid.dz
 
     def entropy(rho: np.ndarray) -> float:
-        vals[mask] = w_mask * rho[mask] ** 2 / b_mask
-        return float(vals[1:].sum() * dz)
+        # vals1[support] = w1[support] * rho[1:][support] ** 2 / b1[support]
+        np.multiply(rho[1:], rho[1:], out=scratch)
+        np.multiply(w1, scratch, out=scratch)
+        np.divide(scratch, b1, out=vals1, where=support)
+        return float(vals1.sum() * dz)
 
     return entropy
 
@@ -254,21 +282,36 @@ def simulate_budget(
     if dt is None:
         dt = default_budget_dt(params)
     base = stationary_family(params, rho0).base
-    terms = _hiring_terms(params)
-    entropy_of = _entropy(params, base)
+    scratch = np.empty(params.grid.n)
+    terms = _hiring_terms(params, scratch)
+    entropy_of = _entropy(params, base, scratch)
     w1 = params.omega.values[1:]
     dz = params.grid.dz
     rows: list[tuple[float, ...]] = []  # budget, entropy, attrition, retirement, aging
 
     def rate(rho: np.ndarray, P: float) -> float:
         attrition, retirement, aging = terms(rho)
-        total = float((w1 * rho[1:]).sum() * dz)
+        total = float(np.multiply(w1, rho[1:], out=scratch).sum() * dz)
         rows.append((total, entropy_of(rho), attrition, retirement, aging))
         return attrition + retirement + aging
 
-    result = march(
-        "budget", rho0, dt, t_end, snapshot_every, params.mu_max, rate, _stepper(params, dt)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        result = march(
+            "budget", rho0, dt, t_end, snapshot_every, params.mu_max, rate, _stepper(params, dt)
+        )
+    budget, entropy, *part_rows = np.array(rows).T
+    parts = dict(zip(("attrition", "retirement", "aging"), part_rows))
+    series = {"headcount": result.headcount, "hiring": result.hiring, "budget": budget,
+              "entropy": entropy, **parts}
+    first_bad = {name: int(np.argmin(np.isfinite(v))) for name, v in series.items()
+                 if not np.isfinite(v).all()}
+    if first_bad:
+        name = min(first_bad, key=first_bad.get)
+        step = first_bad[name]
+        raise ValidationError(
+            f"budget run is not finite: {name} is {series[name][step]} at step {step} "
+            f"(t = {result.times[step]:g})"
+        )
 
     notes: list[str] = []
     if not params.assumption.holds:
@@ -278,11 +321,10 @@ def simulate_budget(
             "entropy diagnostic is observational"
         )
 
-    budget, entropy, *parts = np.array(rows).T
     return replace(
         result,
         budget=budget,
-        hiring_parts=dict(zip(("attrition", "retirement", "aging"), parts)),
+        hiring_parts=parts,
         entropy=entropy,
         notes=tuple(notes),
     )

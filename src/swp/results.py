@@ -118,12 +118,16 @@ def check_dt(dt: float, grid: AgeGrid, mu_max: float) -> None:
         )
 
 
-def advance(rho: np.ndarray, update, h: float) -> np.ndarray:
-    """Next density: entry node pinned to zero, nodes 1..n from ``update(rho, h)``."""
-    new = np.empty_like(rho)
-    new[0] = 0.0
-    new[1:] = update(rho, h)
-    return new
+def advance(rho: np.ndarray, update, h: float, out: np.ndarray) -> np.ndarray:
+    """Next density into ``out``: entry node pinned to zero, nodes 1..n from the update.
+
+    ``update(rho, h, out)`` writes nodes 1..n of the next density into the
+    n-sized view ``out[1:]``; ``out`` must not share memory with ``rho``.
+    Returns ``out``.
+    """
+    out[0] = 0.0
+    update(rho, h, out[1:])
+    return out
 
 
 def step_state(
@@ -134,7 +138,8 @@ def step_state(
     rho = state.rho.values
     if np.any(rho < 0):
         raise ValidationError("state density has negative entries")
-    return PopulationState(state.t + dt, state.rho.with_values(advance(rho, update, h)))
+    new = advance(rho, update, h, np.empty_like(rho))
+    return PopulationState(state.t + dt, state.rho.with_values(new))
 
 
 def march(
@@ -151,8 +156,12 @@ def march(
 
     The entry node of rho0 is forced to zero (hiring enters through the
     source term, not the boundary).  Each step records the headcount P and
-    the hiring rate ``rate(rho, P)``, keeps the profile at snapshot steps and
-    moves nodes 1..n on with ``update(rho, h)``.
+    the hiring rate ``rate(rho, P)``, keeps a copy of the profile at
+    snapshot steps and moves nodes 1..n on with ``update(rho, h, out)``
+    (see :func:`advance`).  The run holds two state buffers and swaps them
+    every step, so ``rho`` handed to ``rate`` and ``update`` is only valid
+    during that step; the update writes the other buffer and never the one
+    it reads.
     """
     grid = rho0.grid
     check_dt(dt, grid, mu_max)
@@ -163,6 +172,7 @@ def march(
 
     rho = rho0.values.copy()
     rho[0] = 0.0
+    spare = np.empty_like(rho)
     times = np.arange(n_steps + 1) * dt
     headcount = np.empty(n_steps + 1)
     hiring = np.empty(n_steps + 1)
@@ -176,7 +186,7 @@ def march(
             snaps.append(AgeProfile(grid, rho))
         if k == n_steps:
             break
-        rho = advance(rho, update, hiring[k])
+        rho, spare = advance(rho, update, hiring[k], spare), rho
 
     return SimulationResult(model, grid, times, headcount, hiring, times[keep], tuple(snaps))
 

@@ -111,7 +111,8 @@ def calibrate_alpha(beta: float, p_eq_target: float) -> float:
 
     Inverts P_eq = sqrt((beta - 1) / alpha); pass the scheme's beta_h to hit
     the equilibrium the simulator holds.  Only feasible for beta > 1: below
-    that, hiring cannot sustain any positive equilibrium.
+    that, hiring cannot sustain any positive equilibrium.  A target so large
+    or so small that alpha underflows to 0 or overflows is infeasible too.
     """
     if not (p_eq_target > 0):
         raise ValidationError(f"equilibrium target must be positive, got {p_eq_target}")
@@ -120,7 +121,13 @@ def calibrate_alpha(beta: float, p_eq_target: float) -> float:
             f"beta_h = {beta:.6g} <= 1: no positive equilibrium exists, "
             f"cannot calibrate to P_eq = {p_eq_target:g}"
         )
-    alpha = (beta - 1.0) / (p_eq_target * p_eq_target)
+    p2 = p_eq_target * p_eq_target
+    alpha = (beta - 1.0) / p2 if p2 > 0 else math.inf
+    if not (0.0 < alpha < math.inf):
+        raise InfeasibleCalibrationError(
+            f"p_eq_target = {p_eq_target:g} gives alpha = (beta_h - 1) / P_eq^2 = {alpha:g} "
+            f"(beta_h = {beta:.6g}), not a finite positive saturation constant"
+        )
     # Walk a few ulps so the round trip sqrt((beta-1)/alpha) == p_eq_target
     # is exact in floating point whenever that value is representable.
     lo = hi = alpha
@@ -175,13 +182,27 @@ def hiring_response(params: SaturatingParams, headcount: float) -> float:
 
 
 def _stepper(params: SaturatingParams, dt: float):
-    """Update of nodes 1..n for hiring rate a: the semi-implicit upwind scheme."""
+    """Update of nodes 1..n for hiring rate a: the semi-implicit upwind scheme.
+
+    ``update(rho, a, out)`` writes the n new node values into ``out``, which
+    must not share memory with ``rho``, through one scratch array per
+    stepper.  The ufuncs run in the order of the expression in the comment,
+    with the scalar dt*a formed first, so every value is rounded as that
+    expression rounds it.
+    """
     lam = dt / params.grid.dz
     gamma1 = hire_source(params.gamma.values)
     mu_fac = 1.0 + params.mu.values[1:] * dt
+    s = np.empty_like(gamma1)
 
-    def update(rho: np.ndarray, a: float) -> np.ndarray:
-        return (rho[1:] - lam * (rho[1:] - rho[:-1]) + dt * a * gamma1) / mu_fac
+    def update(rho: np.ndarray, a: float, out: np.ndarray) -> None:
+        # out = (rho[1:] - lam * (rho[1:] - rho[:-1]) + dt * a * gamma1) / mu_fac
+        np.subtract(rho[1:], rho[:-1], out=s)
+        np.multiply(lam, s, out=s)
+        np.subtract(rho[1:], s, out=s)
+        np.multiply(dt * a, gamma1, out=out)
+        np.add(s, out, out=out)
+        np.divide(out, mu_fac, out=out)
 
     return update
 

@@ -1,5 +1,7 @@
 """Budget-conserving model: hiring rate, conservation, stationary family, entropy."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +284,16 @@ class TestSimulateBudget:
             assert np.array_equal(snap.values, state.rho.values)
             assert res.hiring[k] == hiring_rate(state, par)[0]
             state = step_budget(state, par, dt)
+
+    def test_non_finite_series_rejected_after_the_run(self, scenarios_dir):
+        # w * rho^2 overflows for rho = 1e155, so every entropy value is inf
+        sc = swp.load_scenario(scenarios_dir / "bu-a-budget.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"entropy is inf at step 0 \(t = 0\)"):
+                simulate_budget(
+                    sc.budget_params(), constant_profile(sc.grid, 1e155), dt=0.4, t_end=2.0
+                )
 
     def test_aging_workforce_shrinks_under_flat_budget(self, scenarios_dir):
         sc = swp.load_scenario(scenarios_dir / "bu-b-budget.json")

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -432,6 +433,40 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert err.startswith("error[infeasible-calibration]: beta_h = 0.980392 <= 1")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "equilibrium", "simulate"])
+    @pytest.mark.parametrize("target", [1e300, 1e-300])
+    def test_target_out_of_float_range_exits_2(self, capsys, scenarios_dir, tmp_path, command, target):
+        doc = json.loads((scenarios_dir / "bu-a-saturating.json").read_text())
+        doc["saturating"] = {"p_eq_target": target}
+        out = tmp_path / "out"
+        argv = [command, "--scenario", str(write_doc(tmp_path, doc))]
+        code, _, err = run(capsys, *argv, *(["--out", str(out)] if command != "validate" else []))
+        assert code == 2
+        assert err.startswith(f"error[infeasible-calibration]: p_eq_target = {target:g} gives")
+        assert not out.exists()
+
+    def test_huge_target_in_range_still_loads(self, capsys, scenarios_dir, tmp_path):
+        doc = json.loads((scenarios_dir / "bu-a-saturating.json").read_text())
+        doc["saturating"] = {"p_eq_target": 1e154}
+        code, out, _ = run(capsys, "validate", "--scenario", str(write_doc(tmp_path, doc)))
+        assert code == 0
+        assert "for P_eq = 1e+154" in out
+
+    def test_non_finite_budget_run_exits_1_before_writing(self, capsys, scenarios_dir, tmp_path):
+        doc = json.loads((scenarios_dir / "bu-a-budget.json").read_text())
+        doc["profiles"]["initial"] = {"constant": 1e155}
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(
+                capsys, "simulate", "--scenario", str(write_doc(tmp_path, doc)), "--out", str(out)
+            )
+        assert code == 1
+        assert err.startswith("error[invalid]: budget run is not finite: entropy is inf at step 0")
+        assert "entropy monotone" not in stdout
+        assert not out.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_scenario_cfl_violation_exits_3(self, capsys, tmp_path):
         doc = json.loads(json.dumps(BUDGET_DOC))

@@ -270,7 +270,7 @@ def test_rho_star_is_a_fixed_point_of_the_scheme(scenarios_dir, name, model):
         par = swp.BudgetParams.build(sc.mu, hire, sc.omega)
         update = budget._stepper(par, swp.default_budget_dt(par))
     rho = pol.rho_star.values
-    moved = np.abs(advance(rho, update, pol.intake) - rho).sum()
+    moved = np.abs(advance(rho, update, pol.intake, np.empty_like(rho)) - rho).sum()
     assert moved <= 1e-12 * np.abs(rho).sum()
 
 

@@ -1,5 +1,8 @@
 """Saturating-hiring model: recruitment index, calibration, equilibria, stepping."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,17 @@ class TestCalibrateAlpha:
     def test_nonpositive_target_rejected(self):
         with pytest.raises(ValidationError):
             calibrate_alpha(2.0, 0.0)
+
+    @pytest.mark.parametrize("target", [1e300, 1e-300])
+    def test_alpha_out_of_float_range_rejected(self, target):
+        # (beta_h - 1) / P^2 underflows to 0 or overflows to inf
+        with pytest.raises(InfeasibleCalibrationError, match=re.escape(f"p_eq_target = {target:g}")):
+            calibrate_alpha(24.9967, target)
+
+    def test_large_target_in_range_calibrates(self):
+        alpha = calibrate_alpha(24.9967, 1e154)
+        assert 0.0 < alpha < np.inf
+        assert math.sqrt(23.9967 / alpha) == 1e154
 
 
 class TestEquilibria:
