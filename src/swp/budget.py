@@ -44,7 +44,9 @@ from .numerics import (
     steady_shape,
     _same_grid,
 )
-from .results import PopulationState, SimulationResult, march, max_stable_dt, step_state
+from .results import (
+    PopulationState, SimulationResult, march, max_stable_dt, require_finite, step_state,
+)
 
 
 @dataclass(frozen=True)
@@ -295,23 +297,15 @@ def simulate_budget(
         rows.append((total, entropy_of(rho), attrition, retirement, aging))
         return attrition + retirement + aging
 
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        result = march(
-            "budget", rho0, dt, t_end, snapshot_every, params.mu_max, rate, _stepper(params, dt)
-        )
+    result = march(
+        "budget", rho0, dt, t_end, snapshot_every, params.mu_max, rate, _stepper(params, dt)
+    )
     budget, entropy, *part_rows = np.array(rows).T
     parts = dict(zip(("attrition", "retirement", "aging"), part_rows))
-    series = {"headcount": result.headcount, "hiring": result.hiring, "budget": budget,
-              "entropy": entropy, **parts}
-    first_bad = {name: int(np.argmin(np.isfinite(v))) for name, v in series.items()
-                 if not np.isfinite(v).all()}
-    if first_bad:
-        name = min(first_bad, key=first_bad.get)
-        step = first_bad[name]
-        raise ValidationError(
-            f"budget run is not finite: {name} is {series[name][step]} at step {step} "
-            f"(t = {result.times[step]:g})"
-        )
+    require_finite("budget", result.times, {
+        "headcount": result.headcount, "hiring": result.hiring, "budget": budget,
+        "entropy": entropy, **parts,
+    })
 
     notes: list[str] = []
     if not params.assumption.holds:

@@ -4,11 +4,15 @@ Exit codes are stable: 0 success (warnings included), 1 validation problems,
 2 infeasible calibration, 3 step-size/CFL violations.  Output files land in
 --out when given, otherwise under $SWP_OUT_DIR/<scenario name>, otherwise
 ./swp-out/<scenario name>.  Identical inputs produce byte-identical files.
+
+The argparse tree is built once per process, on the first :func:`main` call,
+and reused by every later call; importing the module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -47,7 +51,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing never changes it, so calls share it."""
     parser = _Parser(prog="swp", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -109,7 +115,12 @@ def _out_dir(args, scenario: Scenario) -> Path:
     else:
         root = os.environ.get("SWP_OUT_DIR", "swp-out")
         out = Path(root) / scenario.name
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot use {str(out)!r} as the output directory: {exc.strerror}", code="usage"
+        ) from exc
     return out
 
 

@@ -106,8 +106,13 @@ def render_line_chart(
 
     for i, (label, xs, ys) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        px = _scale(np.asarray(xs, float), x_lo, x_hi, MARGIN_LEFT, MARGIN_LEFT + PLOT_W)
-        py = _scale(np.asarray(ys, float), y_lo, y_hi, MARGIN_TOP + PLOT_H, MARGIN_TOP)
+        with np.errstate(over="ignore", invalid="ignore"):
+            px = _scale(np.asarray(xs, float), x_lo, x_hi, MARGIN_LEFT, MARGIN_LEFT + PLOT_W)
+            py = _scale(np.asarray(ys, float), y_lo, y_hi, MARGIN_TOP + PLOT_H, MARGIN_TOP)
+        if not (np.isfinite(px).all() and np.isfinite(py).all()):
+            raise ValidationError(
+                f"series {label!r} cannot be plotted: its scaled coordinates overflow"
+            )
         points = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'

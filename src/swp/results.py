@@ -162,6 +162,10 @@ def march(
     every step, so ``rho`` handed to ``rate`` and ``update`` is only valid
     during that step; the update writes the other buffer and never the one
     it reads.
+
+    Overflow does not warn.  The loop stops at the first step whose
+    headcount or hiring rate is not finite and returns the series up to that
+    step, so every caller passes its series to :func:`require_finite`.
     """
     grid = rho0.grid
     check_dt(dt, grid, mu_max)
@@ -178,17 +182,41 @@ def march(
     hiring = np.empty(n_steps + 1)
     snaps: list[AgeProfile] = []
 
-    for k in range(n_steps + 1):
-        P = float(rho[:-1].sum() * grid.dz)
-        headcount[k] = P
-        hiring[k] = rate(rho, P)
-        if keep[k]:
-            snaps.append(AgeProfile(grid, rho))
-        if k == n_steps:
-            break
-        rho, spare = advance(rho, update, hiring[k], spare), rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            P = float(rho[:-1].sum() * grid.dz)
+            headcount[k] = P
+            hiring[k] = h = rate(rho, P)
+            if not (math.isfinite(P) and math.isfinite(h)):
+                break
+            if keep[k]:
+                snaps.append(AgeProfile(grid, rho))
+            if k == n_steps:
+                break
+            rho, spare = advance(rho, update, h, spare), rho
 
-    return SimulationResult(model, grid, times, headcount, hiring, times[keep], tuple(snaps))
+    end = k + 1
+    return SimulationResult(
+        model, grid, times[:end], headcount[:end], hiring[:end], times[:end][keep[:end]],
+        tuple(snaps),
+    )
+
+
+def require_finite(model: str, times: np.ndarray, series: dict[str, np.ndarray]) -> None:
+    """Reject a run whose recorded series hold a value that is not finite.
+
+    The error names the series and the first step where it fails; when
+    several fail first at the same step, the first listed is named.
+    """
+    first_bad = {name: int(np.argmin(np.isfinite(v))) for name, v in series.items()
+                 if not np.isfinite(v).all()}
+    if first_bad:
+        name = min(first_bad, key=first_bad.get)
+        step = first_bad[name]
+        raise ValidationError(
+            f"{model} run is not finite: {name} is {series[name][step]} at step {step} "
+            f"(t = {times[step]:g})"
+        )
 
 
 def detect_steady_state(

@@ -49,7 +49,7 @@ from .numerics import (
     steady_shape,
     _same_grid,
 )
-from .results import PopulationState, SimulationResult, march, step_state
+from .results import PopulationState, SimulationResult, march, require_finite, step_state
 
 # Exponential attrition decay is contractive on windows of length span when
 # beta stays below this bound; larger beta still converges in practice but
@@ -222,7 +222,11 @@ def simulate_saturating(
 ) -> SimulationResult:
     """Run the saturating model from rho0 up to t_end (see :func:`swp.results.march`)."""
     _same_grid(params.mu, rho0)
-    return march(
+    result = march(
         "saturating", rho0, dt, t_end, snapshot_every, params.mu_max,
         lambda rho, P: hiring_response(params, P), _stepper(params, dt),
     )
+    require_finite("saturating", result.times, {
+        "headcount": result.headcount, "hiring": result.hiring,
+    })
+    return result

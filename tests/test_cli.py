@@ -1,13 +1,19 @@
 """End-to-end CLI checks: stdout wording, exit codes, files on disk."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swp.cli
 from swp.cli import main
+from test_golden import RECORD, regenerate
 
 
 def run(capsys, *argv):
@@ -468,6 +474,38 @@ class TestErrorsAndExitCodes:
         assert not out.exists()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_huge_saturating_density_fails_before_plotting(self, capsys, scenarios_dir, tmp_path):
+        doc = json.loads((scenarios_dir / "bu-a-saturating.json").read_text())
+        doc["profiles"]["initial"] = {"constant": 1e306}
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(
+                capsys, "simulate", "--scenario", str(write_doc(tmp_path, doc)), "--out", str(out)
+            )
+        assert code == 1
+        assert err.startswith("error[invalid]: series 'P(t)' cannot be plotted")
+        assert not list(out.glob("*.svg"))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_non_finite_saturating_run_exits_1_before_writing(
+        self, capsys, scenarios_dir, tmp_path
+    ):
+        doc = json.loads((scenarios_dir / "bu-a-saturating.json").read_text())
+        doc["profiles"]["initial"] = {"constant": 1e307}
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(
+                capsys, "simulate", "--scenario", str(write_doc(tmp_path, doc)), "--out", str(out)
+            )
+        assert code == 1
+        assert err.startswith(
+            "error[invalid]: saturating run is not finite: headcount is inf at step 0 (t = 0)"
+        )
+        assert not out.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_scenario_cfl_violation_exits_3(self, capsys, tmp_path):
         doc = json.loads(json.dumps(BUDGET_DOC))
         doc["time"] = {"dt": 2.0, "t_end": 10.0}
@@ -482,6 +520,28 @@ class TestErrorsAndExitCodes:
 
 
 class TestOutputDirectories:
+    @pytest.mark.parametrize("command,scenario,out_arg", [
+        ("simulate", "bu-a-budget", "file"),
+        ("optimize", "bu-1-optimize", "file/sub"),
+        ("equilibrium", "bu-a-saturating", None),
+    ])
+    def test_unusable_output_directory_is_usage_error(
+        self, capsys, scenarios_dir, tmp_path, monkeypatch, command, scenario, out_arg
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("keep")
+        monkeypatch.setenv("SWP_OUT_DIR", str(blocker))
+        argv = [command, "--scenario", str(scenarios_dir / f"{scenario}.json"), "--quiet"]
+        target = blocker / scenario
+        if out_arg is not None:
+            target = tmp_path / out_arg
+            argv += ["--out", str(target)]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error[usage]: cannot use {str(target)!r} as the output directory")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert blocker.read_text() == "keep"
+
     def test_env_var_root(self, capsys, scenarios_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("SWP_OUT_DIR", str(tmp_path))
         code, out, _ = run(
@@ -518,3 +578,43 @@ class TestOutputDirectories:
         )
         assert code == 0
         assert (tmp_path / "swp-out" / "bu-a-saturating" / "rho_eq.csv").is_file()
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert swp.cli._build_parser() is swp.cli._build_parser()
+
+    def test_not_built_at_import(self):
+        src = Path(swp.cli.__file__).resolve().parents[1]
+        probe = "import swp.cli; print(swp.cli._build_parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
+
+    def test_rejected_calls_leave_later_calls_unchanged(self, capsys, scenarios_dir, tmp_path):
+        if np.__version__ != RECORD["numpy"]:
+            pytest.skip(f"record made under numpy {RECORD['numpy']}, running {np.__version__}")
+        code, _, err = run(
+            capsys, "simulate", "--scenario", str(scenarios_dir / "bu-a-saturating.json"),
+            "--out", str(tmp_path / "a"), "--tol", "nan",
+        )
+        assert (code, err.split(":")[0]) == (1, "error[usage]")
+        code, _, err = run(
+            capsys, "simulate", "--scenario", str(scenarios_dir / "bu-a-budget.json"),
+            "--out", str(tmp_path / "b"), "--dt", "2.0",
+        )
+        assert (code, err.split(":")[0]) == (3, "error[cfl]")
+        for command, scenario in regenerate.calls():
+            if command in ("validate", "simulate"):
+                got = regenerate.run_call(command, scenario)
+                assert got == RECORD["calls"][f"{command} {scenario}"], f"{command} {scenario}"
+
+    def test_version_twice(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == f"swp {swp.__version__}\n"
