@@ -24,8 +24,11 @@ choice the continuous three-term decomposition above coincides term by term
 with the nodal sums used by the stepper.
 
 The time loop is the one both models share, :func:`swp.results.march`; this
-module supplies the hiring functional, with the run's weight vectors
-computed once, and the update expression (:func:`_stepper`).
+module supplies the update expression (:func:`_stepper`) and one functional
+for every per-step sum (:func:`_reductions`): one matrix-vector product
+gives the headcount, the attrition and aging terms of h and the budget, and
+one dot the relative entropy.  These reassociate the nodal sums above, so
+they match them to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -128,43 +131,41 @@ def hiring_rate(state: PopulationState, params: BudgetParams) -> tuple[float, di
     the standing workforce, entering with a minus sign).  The three parts
     sum to h exactly.
     """
-    terms = _hiring_terms(params, np.empty(params.grid.n))
-    attrition, retirement, aging = terms(state.rho.values)
+    _, attrition, retirement, aging, _, _ = _reductions(params)(state.rho.values)
     h = attrition + retirement + aging
     return h, {"attrition": attrition, "retirement": retirement, "aging": aging}
 
 
-def _hiring_terms(params: BudgetParams, scratch: np.ndarray):
-    """(attrition, retirement, aging) of a density array, weights computed once.
+def _reductions(params: BudgetParams, base: AgeProfile | None = None):
+    """Every per-step sum of a density array, weights computed once.
 
-    The weighted products are written into ``scratch`` (n entries, owned by
-    the caller) and summed from there.
+    ``sums(rho)`` returns (headcount, attrition, retirement, aging, budget,
+    relative entropy against ``base``, 0 without one).  The 4 x (n+1) weight
+    rows fold in dz and 1/hire_cost; the entropy weight v is omega dz / base
+    on the base's support and 0 elsewhere.
     """
-    w = params.omega.values
-    muw1 = params.mu.values[1:] * w[1:]
-    w_end = w[-1]
-    wp_inner = params.omega_prime[1:-1]
-    dz = params.grid.dz
-    denom = params.hire_cost
+    grid, w, cost = params.grid, params.omega.values, params.hire_cost
+    dz = grid.dz
+    weights = np.zeros((4, grid.n + 1))
+    weights[0, :-1] = dz
+    weights[1, 1:] = params.mu.values[1:] * w[1:] * (dz / cost)
+    weights[2, 1:-1] = params.omega_prime[1:-1] * (-dz / cost)
+    weights[3, 1:] = w[1:] * dz
+    v = np.zeros(grid.n + 1)
+    if base is not None:
+        support = base.values > 0.0
+        support[0] = False
+        v[support] = w[support] * dz / base.values[support]
+    out = np.empty(4)
+    scratch = np.empty(grid.n + 1)
 
-    def terms(rho: np.ndarray) -> tuple[float, float, float]:
-        attrition = float(np.multiply(muw1, rho[1:], out=scratch).sum() * dz) / denom
-        retirement = float(w_end * rho[-1]) / denom
-        aging = -float(np.multiply(wp_inner, rho[1:-1], out=scratch[:-1]).sum() * dz) / denom
-        return attrition, retirement, aging
+    def sums(rho: np.ndarray) -> tuple[float, ...]:
+        P, attrition, aging, total = np.matmul(weights, rho, out=out).tolist()
+        retirement = float(w[-1] * rho[-1]) / cost
+        entropy = float(np.dot(np.multiply(rho, v, out=scratch), rho))
+        return P, attrition, retirement, aging, total, entropy
 
-    return terms
-
-
-def _conserving_rate(rho: np.ndarray, params: BudgetParams, h: float) -> float:
-    """Hiring rate the stepper must use so the budget telescopes exactly.
-
-    By Abel summation the nodal balance differs from the three-term
-    decomposition by omega_1 * rho_0 / hire_cost; the boundary keeps
-    rho_0 = 0 along every trajectory, so the correction only matters for
-    states fed to :func:`step_budget` with mass parked on the entry node.
-    """
-    return h - float(params.omega.values[1] * rho[0]) / params.hire_cost
+    return sums
 
 
 def default_budget_dt(params: BudgetParams) -> float:
@@ -199,9 +200,14 @@ def _stepper(params: BudgetParams, dt: float):
 
 
 def step_budget(state: PopulationState, params: BudgetParams, dt: float) -> PopulationState:
-    """Advance one step with the explicit conservative upwind scheme."""
+    """Advance one step with the explicit conservative upwind scheme.
+
+    By Abel summation the nodal budget balance differs from the three-term
+    rate by omega_1 rho_0 / hire_cost.  A run keeps rho_0 = 0, so only a
+    state handed in with mass on the entry node needs that correction.
+    """
     h, _ = hiring_rate(state, params)
-    h = _conserving_rate(state.rho.values, params, h)
+    h -= float(params.omega.values[1] * state.rho.values[0]) / params.hire_cost
     return step_state(state, dt, params.mu_max, h, _stepper(params, dt))
 
 
@@ -237,32 +243,7 @@ def relative_entropy(state: PopulationState, family: StationaryFamily, params: B
     is positive.  Along budget-model trajectories H is nonincreasing
     whenever the hire coefficients mu*omega - omega' are nonnegative.
     """
-    return _entropy(params, family.base, np.empty(params.grid.n))(state.rho.values)
-
-
-def _entropy(params: BudgetParams, base: AgeProfile, scratch: np.ndarray):
-    """Relative entropy of a density array, mask and weights computed once.
-
-    w*rho^2 goes through ``scratch`` (n entries, owned by the caller) and is
-    divided by the base only where the base is positive; nodes outside the
-    support stay 0.
-    """
-    b1 = base.values[1:]
-    support = b1 > 0.0
-    if support.all():
-        support = True  # the masked ufunc loop is slower even when every entry is kept
-    w1 = params.omega.values[1:]
-    vals1 = np.zeros_like(base.values)[1:]
-    dz = params.grid.dz
-
-    def entropy(rho: np.ndarray) -> float:
-        # vals1[support] = w1[support] * rho[1:][support] ** 2 / b1[support]
-        np.multiply(rho[1:], rho[1:], out=scratch)
-        np.multiply(w1, scratch, out=scratch)
-        np.divide(scratch, b1, out=vals1, where=support)
-        return float(vals1.sum() * dz)
-
-    return entropy
+    return _reductions(params, family.base)(state.rho.values)[-1]
 
 
 def simulate_budget(
@@ -283,19 +264,13 @@ def simulate_budget(
     _same_grid(params.mu, rho0)
     if dt is None:
         dt = default_budget_dt(params)
-    base = stationary_family(params, rho0).base
-    scratch = np.empty(params.grid.n)
-    terms = _hiring_terms(params, scratch)
-    entropy_of = _entropy(params, base, scratch)
-    w1 = params.omega.values[1:]
-    dz = params.grid.dz
+    sums = _reductions(params, stationary_family(params, rho0).base)
     rows: list[tuple[float, ...]] = []  # budget, entropy, attrition, retirement, aging
 
-    def rate(rho: np.ndarray, P: float) -> float:
-        attrition, retirement, aging = terms(rho)
-        total = float(np.multiply(w1, rho[1:], out=scratch).sum() * dz)
-        rows.append((total, entropy_of(rho), attrition, retirement, aging))
-        return attrition + retirement + aging
+    def rate(rho: np.ndarray) -> tuple[float, float]:
+        P, attrition, retirement, aging, total, entropy = sums(rho)
+        rows.append((total, entropy, attrition, retirement, aging))
+        return P, attrition + retirement + aging
 
     result = march(
         "budget", rho0, dt, t_end, snapshot_every, params.mu_max, rate, _stepper(params, dt)

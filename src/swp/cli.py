@@ -35,7 +35,7 @@ from .optimizer import (
     stationary_mixture,
 )
 from .output import write_columns, write_profile, write_timeseries
-from .plots import age_structure_plot, cost_curve_plot, headcount_plot, profile_plot
+from .plots import _check_charts, age_structure_plot, cost_curve_plot, headcount_plot, profile_plot
 from .results import PopulationState, detect_steady_state
 from .saturating import equilibria, simulate_saturating
 from .scenario import Scenario, cfl_margin, load_scenario
@@ -109,19 +109,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message, code="usage")
 
 
-def _out_dir(args, scenario: Scenario) -> Path:
-    if getattr(args, "out", None):
-        out = Path(args.out)
-    else:
-        root = os.environ.get("SWP_OUT_DIR", "swp-out")
-        out = Path(root) / scenario.name
+def _made(out: Path) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ValidationError(
-            f"cannot use {str(out)!r} as the output directory: {exc.strerror}", code="usage"
-        ) from exc
+        raise _unusable(out, exc.strerror) from exc
     return out
+
+
+def _unusable(out: Path, why: str) -> ValidationError:
+    return ValidationError(f"cannot use {str(out)!r} as the output directory: {why}", code="usage")
 
 
 def _emit(args, text: str) -> None:
@@ -134,8 +131,8 @@ def _emit_notices(args, scenario: Scenario) -> None:
         _emit(args, f"note: {note}")
 
 
-def _load(args, models: tuple[str, ...]) -> Scenario:
-    """Load the scenario, reject a model the subcommand does not run, print the notices."""
+def _load(args, models: tuple[str, ...]) -> tuple[Scenario, Path]:
+    """Load the scenario and check its output directory, all before printing anything."""
     scenario = load_scenario(args.scenario)
     if scenario.model not in models:
         kinds = " or ".join(models)
@@ -143,19 +140,26 @@ def _load(args, models: tuple[str, ...]) -> Scenario:
         raise ValidationError(
             f"{args.command} needs {article} {kinds} scenario, got model {scenario.model!r}"
         )
+    if args.out:
+        out = Path(args.out)
+    else:
+        out = Path(os.environ.get("SWP_OUT_DIR", "swp-out")) / scenario.name
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not (found.is_dir() and os.access(found, os.W_OK | os.X_OK)):
+        raise _unusable(out, f"{str(found)!r} is not a writable directory")
     _emit_notices(args, scenario)
-    return scenario
+    return scenario, out
 
 
 def cmd_equilibrium(args) -> int:
-    scenario = _load(args, ("saturating",))
+    scenario, out = _load(args, ("saturating",))
     report = equilibria(scenario.saturating_params())
     _emit(args, f"beta = {report.beta:.6g}")
     _emit(args, f"beta_h = {report.beta_h:.6g}")
     _emit(args, f"alpha = {report.alpha:.6g}")
     _emit(args, f"P_eq = {report.p_eq:g}, regime = {report.regime.value}")
     _emit(args, f"technical_window={'true' if report.technical_window else 'false'}")
-    out = _out_dir(args, scenario)
+    _made(out)
     files = [
         write_profile(out / "rho_eq.csv", report.rho_eq, value_name="rho_eq"),
         profile_plot(report.rho_eq, out / "rho_eq.svg", "Equilibrium age structure", "density"),
@@ -166,7 +170,7 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load(args, ("saturating", "budget"))
+    scenario, out = _load(args, ("saturating", "budget"))
     dt = args.dt if args.dt is not None else scenario.effective_dt()
     t_end = args.t_end if args.t_end is not None else scenario.t_end
     snap = scenario.snapshot_every
@@ -209,8 +213,8 @@ def cmd_simulate(args) -> int:
             verdict += " [observational: positivity assumption fails]"
         _emit(args, f"entropy monotone: {verdict}")
 
-    out = _out_dir(args, scenario)
-    files = write_timeseries(result, out)
+    _check_charts(result)  # a chart that cannot be drawn fails before any file
+    files = write_timeseries(result, _made(out))
     files.append(headcount_plot(result, out / "headcount.svg"))
     files.append(age_structure_plot(result, out / "age_structure.svg"))
     for f in files:
@@ -219,7 +223,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    scenario = _load(args, ("optimize",))
+    scenario, out = _load(args, ("optimize",))
     curves = optimizer_curves(scenario.omega, scenario.mu)
     z0 = optimal_hiring_age(curves)
     tied = has_tied_minimum(curves)
@@ -246,7 +250,7 @@ def cmd_optimize(args) -> int:
             f"saving = {100.0 * saving.saving_fraction:.1f}%",
         )
 
-    out = _out_dir(args, scenario)
+    _made(out)
     files = [
         write_columns(out / "d.csv", ["z", "d"], [curves.grid.nodes, np.asarray(curves.d)]),
         write_profile(out / "rho_star.csv", policy.rho_star, value_name="rho_star"),

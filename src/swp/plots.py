@@ -49,19 +49,7 @@ def render_line_chart(
     marker_x: float | None = None,
 ) -> Path:
     """Write one chart with any number of (label, xs, ys) series."""
-    if not series:
-        raise ValidationError("nothing to plot: no series given")
-    for label, xs, ys in series:
-        if len(xs) == 0 or len(xs) != len(ys):
-            raise ValidationError(f"series {label!r} is empty or ragged")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise ValidationError(f"series {label!r} contains non-finite values")
-
-    x_lo = min(float(np.min(xs)) for _, xs, _ in series)
-    x_hi = max(float(np.max(xs)) for _, xs, _ in series)
-    y_lo = min(float(np.min(ys)) for _, _, ys in series)
-    y_hi = max(float(np.max(ys)) for _, _, ys in series)
-
+    (x_lo, x_hi, y_lo, y_hi), pixels = _layout(series)
     parts: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
         f'width="{WIDTH}" height="{HEIGHT}">',
@@ -104,15 +92,8 @@ def render_line_chart(
             f'stroke-dasharray="5,4"/>'
         )
 
-    for i, (label, xs, ys) in enumerate(series):
+    for i, (label, px, py) in enumerate(pixels):
         color = _COLORS[i % len(_COLORS)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            px = _scale(np.asarray(xs, float), x_lo, x_hi, MARGIN_LEFT, MARGIN_LEFT + PLOT_W)
-            py = _scale(np.asarray(ys, float), y_lo, y_hi, MARGIN_TOP + PLOT_H, MARGIN_TOP)
-        if not (np.isfinite(px).all() and np.isfinite(py).all()):
-            raise ValidationError(
-                f"series {label!r} cannot be plotted: its scaled coordinates overflow"
-            )
         points = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
@@ -129,6 +110,33 @@ def render_line_chart(
     return path
 
 
+def _layout(series: list[tuple[str, np.ndarray, np.ndarray]]):
+    """Data bounds and (label, pixel xs, pixel ys) per series; raises if the chart cannot be drawn."""
+    if not series:
+        raise ValidationError("nothing to plot: no series given")
+    for label, xs, ys in series:
+        if len(xs) == 0 or len(xs) != len(ys):
+            raise ValidationError(f"series {label!r} is empty or ragged")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ValidationError(f"series {label!r} contains non-finite values")
+
+    x_lo = min(float(np.min(xs)) for _, xs, _ in series)
+    x_hi = max(float(np.max(xs)) for _, xs, _ in series)
+    y_lo = min(float(np.min(ys)) for _, _, ys in series)
+    y_hi = max(float(np.max(ys)) for _, _, ys in series)
+    pixels = []
+    for label, xs, ys in series:
+        with np.errstate(over="ignore", invalid="ignore"):
+            px = _scale(np.asarray(xs, float), x_lo, x_hi, MARGIN_LEFT, MARGIN_LEFT + PLOT_W)
+            py = _scale(np.asarray(ys, float), y_lo, y_hi, MARGIN_TOP + PLOT_H, MARGIN_TOP)
+        if not (np.isfinite(px).all() and np.isfinite(py).all()):
+            raise ValidationError(
+                f"series {label!r} cannot be plotted: its scaled coordinates overflow"
+            )
+        pixels.append((label, px, py))
+    return (x_lo, x_hi, y_lo, y_hi), pixels
+
+
 def _axis_num(v: float) -> str:
     return f"{v:.6g}"
 
@@ -137,15 +145,25 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _simulation_series(result: SimulationResult) -> tuple[list, list]:
+    """Series of the headcount chart and of the age-structure chart."""
+    z = result.grid.nodes
+    return ([("P(t)", np.asarray(result.times), np.asarray(result.headcount))],
+            [("initial", z, result.initial.values), ("final", z, result.final.values)])
+
+
+def _check_charts(result: SimulationResult) -> None:
+    """Raise what :func:`headcount_plot` or :func:`age_structure_plot` would, writing nothing."""
+    for series in _simulation_series(result):
+        _layout(series)
+
+
 def age_structure_plot(result: SimulationResult, path: str | Path) -> Path:
     """Initial vs final density over age."""
-    z = result.grid.nodes
-    first = result.initial
-    last = result.final
     return render_line_chart(
         path,
         "Age structure",
-        [("initial", z, first.values), ("final", z, last.values)],
+        _simulation_series(result)[1],
         x_label="age (years)",
         y_label="density",
     )
@@ -155,7 +173,7 @@ def headcount_plot(result: SimulationResult, path: str | Path) -> Path:
     return render_line_chart(
         path,
         "Headcount",
-        [("P(t)", np.asarray(result.times), np.asarray(result.headcount))],
+        _simulation_series(result)[0],
         x_label="time (years)",
         y_label="employees",
     )

@@ -156,12 +156,12 @@ def march(
 
     The entry node of rho0 is forced to zero (hiring enters through the
     source term, not the boundary).  Each step records the headcount P and
-    the hiring rate ``rate(rho, P)``, keeps a copy of the profile at
-    snapshot steps and moves nodes 1..n on with ``update(rho, h, out)``
-    (see :func:`advance`).  The run holds two state buffers and swaps them
-    every step, so ``rho`` handed to ``rate`` and ``update`` is only valid
-    during that step; the update writes the other buffer and never the one
-    it reads.
+    the hiring rate h that ``rate(rho)`` returns as ``(P, h)``, keeps a copy
+    of the profile at snapshot steps and moves nodes 1..n on with
+    ``update(rho, h, out)`` (see :func:`advance`).  The run holds two state
+    buffers and swaps them every step, so ``rho`` handed to ``rate`` and
+    ``update`` is only valid during that step; the update writes the other
+    buffer and never the one it reads.
 
     Overflow does not warn.  The loop stops at the first step whose
     headcount or hiring rate is not finite and returns the series up to that
@@ -184,9 +184,7 @@ def march(
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
-            P = float(rho[:-1].sum() * grid.dz)
-            headcount[k] = P
-            hiring[k] = h = rate(rho, P)
+            headcount[k], hiring[k] = P, h = rate(rho)
             if not (math.isfinite(P) and math.isfinite(h)):
                 break
             if keep[k]:

@@ -222,9 +222,14 @@ def simulate_saturating(
 ) -> SimulationResult:
     """Run the saturating model from rho0 up to t_end (see :func:`swp.results.march`)."""
     _same_grid(params.mu, rho0)
+    dz = params.grid.dz
+
+    def rate(rho: np.ndarray) -> tuple[float, float]:
+        P = float(rho[:-1].sum() * dz)
+        return P, hiring_response(params, P)
+
     result = march(
-        "saturating", rho0, dt, t_end, snapshot_every, params.mu_max,
-        lambda rho, P: hiring_response(params, P), _stepper(params, dt),
+        "saturating", rho0, dt, t_end, snapshot_every, params.mu_max, rate, _stepper(params, dt)
     )
     require_finite("saturating", result.times, {
         "headcount": result.headcount, "hiring": result.hiring,

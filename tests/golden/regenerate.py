@@ -2,8 +2,10 @@
 
 Runs ``swp.cli.main`` in-process for the 4 subcommands x the bundled
 scenarios and stores, per call, the exit code and a sha256 of stdout, of
-stderr and of every file written, together with the numpy version, in
-``tests/golden/cli.json``.  ``tests/test_golden.py`` replays the same calls
+stderr and of every file written, in ``tests/golden/cli.json``.  The record
+also names what the float bits depend on (:func:`platform`): the numpy
+version, the CPU features numpy dispatches its ``exp``/``log`` loops on,
+and the OpenBLAS kernel that computes the budget model's per-step sums.  ``tests/test_golden.py`` replays the same calls
 and compares.  A change that moves output on purpose regenerates the record:
 
     PYTHONPATH=src python tests/golden/regenerate.py
@@ -12,6 +14,7 @@ and compares.  A change that moves output on purpose regenerates the record:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -70,9 +73,33 @@ def run_call(command: str, scenario: str) -> dict:
     }
 
 
-def record() -> dict:
+def platform() -> dict:
+    """numpy version, numpy's dispatched CPU features and the OpenBLAS kernel of this process."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
     return {
         "numpy": np.__version__,
+        "cpu_features": sorted(f for f in __cpu_dispatch__ if __cpu_features__.get(f)),
+        "blas_kernel": _blas_kernel(),
+    }
+
+
+def _blas_kernel() -> str:
+    """OpenBLAS's run-time core name (e.g. ``Haswell``), or ``unknown`` for another BLAS."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename"):
+            if hasattr(lib, name):
+                corename = getattr(lib, name)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def record() -> dict:
+    return {
+        **platform(),
         "calls": {f"{cmd} {name}": run_call(cmd, name) for cmd, name in calls()},
     }
 

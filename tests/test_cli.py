@@ -107,7 +107,7 @@ class TestSimulateCommand:
         assert code == 0
         assert "model = budget" in out
         assert "steps = 500, dt = 0.4, t_end = 200" in out
-        assert "budget drift: 1.316e-14 relative" in out
+        assert "budget drift: 1.334e-14 relative" in out
         assert "entropy monotone: yes" in out
         assert (tmp_path / "budget.csv").is_file()
         assert (tmp_path / "entropy.csv").is_file()
@@ -485,7 +485,7 @@ class TestErrorsAndExitCodes:
             )
         assert code == 1
         assert err.startswith("error[invalid]: series 'P(t)' cannot be plotted")
-        assert not list(out.glob("*.svg"))
+        assert not out.exists()  # no CSV is written ahead of a chart that fails
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_non_finite_saturating_run_exits_1_before_writing(
@@ -541,6 +541,30 @@ class TestOutputDirectories:
         assert err.startswith(f"error[usage]: cannot use {str(target)!r} as the output directory")
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
         assert blocker.read_text() == "keep"
+
+    @pytest.mark.parametrize("command,scenario,runner", [
+        ("simulate", "bu-a-budget", "simulate_budget"),
+        ("simulate", "bu-a-saturating", "simulate_saturating"),
+        ("equilibrium", "bu-a-saturating", "equilibria"),
+        ("optimize", "bu-2-optimize", "optimizer_curves"),
+    ])
+    @pytest.mark.parametrize("out_arg", ["file", "file/sub"])
+    def test_unusable_output_directory_fails_before_the_run(
+        self, capsys, scenarios_dir, tmp_path, monkeypatch, command, scenario, runner, out_arg
+    ):
+        (tmp_path / "file").write_text("keep")
+        calls = []
+        monkeypatch.setattr(swp.cli, runner, lambda *a, **k: calls.append(a))
+        target = tmp_path / out_arg
+        code, out, err = run(
+            capsys, command, "--scenario", str(scenarios_dir / f"{scenario}.json"),
+            "--out", str(target),
+        )
+        assert code == 1
+        assert err.startswith(f"error[usage]: cannot use {str(target)!r} as the output directory")
+        assert out == ""
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     def test_env_var_root(self, capsys, scenarios_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("SWP_OUT_DIR", str(tmp_path))

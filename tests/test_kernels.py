@@ -1,12 +1,16 @@
-"""The in-place step kernels against the one-line expressions they replace, bit for bit.
+"""The per-step kernels against the one-line expressions they replace.
 
-The references below are the update expressions, hiring terms and masked
-entropy as written before the kernels wrote into preallocated buffers.  Each
-kernel must round every value as its reference does, so the comparisons are
-on the int64 bit patterns, not within a tolerance.
+The references below are the update expressions, hiring terms, budget total
+and masked entropy as written before the kernels wrote into preallocated
+buffers.  The two update kernels must round every value as their references
+do, so those comparisons are on the int64 bit patterns.  The per-step sums
+are one matrix-vector product and one dot, which reassociate the reference
+sums; they, and whole budget runs built on them, are held to a relative
+1e-13 instead (``close``).
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +27,14 @@ from swp import (
     simulate_saturating,
     stationary_family,
 )
-from swp import budget, saturating
+from swp import budget, load_scenario, saturating
 from swp.numerics import hire_source
-from swp.results import advance
+from swp.results import advance, march
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SIZES = (50, 500, 5000)
 RATES = (37.25, 0.0, -4.5)
+REL = 1e-13
 
 
 def reference_budget_update(params, dt):
@@ -63,8 +69,20 @@ def reference_entropy(params, base, rho):
     return float(vals[1:].sum() * params.grid.dz)
 
 
+def reference_headcount(params, rho):
+    return float(rho[:-1].sum() * params.grid.dz)
+
+
 def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+def close(got, want):
+    """|a - b| <= 1e-13 max(|a|, |b|) elementwise: exact zeros must stay exact."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and bool(
+        np.all(np.abs(got - want) <= REL * np.maximum(np.abs(got), np.abs(want)))
+    )
 
 
 def random_profiles(n, seed):
@@ -109,18 +127,35 @@ def test_saturating_update_matches_expression(n, a):
         assert np.array_equal(bits(out), bits(reference(rho, a)))
 
 
+def sums_without_entropy(par, rho):
+    """(headcount, attrition, retirement, aging, budget total) of the fused functional."""
+    P, attrition, retirement, aging, total, _ = budget._reductions(par)(rho)
+    return P, attrition, retirement, aging, total
+
+
+def reference_sums(par, rho):
+    return reference_headcount(par, rho), *reference_hiring_terms(par, rho)
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_hiring_terms_and_budget_total_match_expressions(n):
     rng, _, mu, gamma, omega = random_profiles(n, seed=n + 2)
     par = BudgetParams.build(mu, gamma, omega)
-    scratch = np.empty(n)
-    terms = budget._hiring_terms(par, scratch)
-    w1 = par.omega.values[1:]
-    for _ in range(3):
+    sums = budget._reductions(par)
+    for _ in range(3):  # the output and scratch arrays are reused across calls
         rho = random_state(rng, n)
-        total = float(np.multiply(w1, rho[1:], out=scratch).sum() * par.grid.dz)
-        got = (*terms(rho), total)
-        assert np.array_equal(bits(got), bits(reference_hiring_terms(par, rho)))
+        assert close(sums(rho)[:5], reference_sums(par, rho))
+
+
+def test_hiring_terms_and_budget_total_on_exact_zeros():
+    _, _, mu, gamma, omega = random_profiles(50, seed=14)
+    par = BudgetParams.build(mu, gamma, omega)
+    assert sums_without_entropy(par, np.zeros(51)) == (0.0,) * 5
+    rho = np.zeros(51)
+    rho[-1] = 3.0  # only the retirement node is staffed: aging and the headcount stay 0
+    got = sums_without_entropy(par, rho)
+    assert got[0] == 0.0 and got[3] == 0.0
+    assert close(got, reference_sums(par, rho))
 
 
 def roadmap_support_case():
@@ -131,6 +166,11 @@ def roadmap_support_case():
     return par, stationary_family(par, constant_profile(g, 1.0)).base
 
 
+def entropy_of(par, base):
+    sums = budget._reductions(par, base)
+    return lambda rho: sums(rho)[-1]
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_entropy_matches_masked_expression(n):
     rng, g, mu, gamma, omega = random_profiles(n, seed=n + 3)
@@ -138,10 +178,10 @@ def test_entropy_matches_masked_expression(n):
     values = rng.uniform(0.5, 20.0, n + 1)
     values[rng.uniform(size=n + 1) < 0.3] = 0.0
     base = AgeProfile(g, values)
-    entropy = budget._entropy(par, base, np.empty(n))
-    for _ in range(10):  # a sum hides most single-element rounding differences
+    entropy = entropy_of(par, base)
+    for _ in range(10):
         rho = random_state(rng, n)
-        assert bits(entropy(rho)) == bits(reference_entropy(par, base, rho))
+        assert close(entropy(rho), reference_entropy(par, base, rho))
 
 
 def test_entropy_matches_masked_expression_on_a_full_support():
@@ -149,10 +189,10 @@ def test_entropy_matches_masked_expression_on_a_full_support():
     par = BudgetParams.build(mu, gamma, omega)
     base = stationary_family(par, constant_profile(g, 1.0)).base
     assert np.all(base.values[1:] > 0.0)
-    entropy = budget._entropy(par, base, np.empty(500))
+    entropy = entropy_of(par, base)
     for _ in range(10):
         rho = random_state(rng, 500)
-        assert bits(entropy(rho)) == bits(reference_entropy(par, base, rho))
+        assert close(entropy(rho), reference_entropy(par, base, rho))
 
 
 def test_entropy_matches_masked_expression_on_a_partial_support():
@@ -160,9 +200,60 @@ def test_entropy_matches_masked_expression_on_a_partial_support():
     n = par.grid.n
     assert np.count_nonzero(base.values[1:] == 0.0) > 10
     rng = np.random.default_rng(7)
-    entropy = budget._entropy(par, base, np.empty(n))
+    entropy = entropy_of(par, base)
     for rho in (np.ones(n + 1), *(random_state(rng, n) for _ in range(10))):
-        assert bits(entropy(rho)) == bits(reference_entropy(par, base, rho))
+        assert close(entropy(rho), reference_entropy(par, base, rho))
+        assert close(sums_without_entropy(par, rho), reference_sums(par, rho))
+
+
+def test_entropy_ignores_mass_off_the_support():
+    par, base = roadmap_support_case()
+    rho = np.where(base.values > 0.0, 0.0, 7.0)  # mass only where the base is 0
+    assert entropy_of(par, base)(rho) == reference_entropy(par, base, rho) == 0.0
+
+
+def reference_simulate_budget(par, rho0, dt, t_end, snapshot_every):
+    """The budget run as the reference expressions compute it, on the shared time loop."""
+    base = stationary_family(par, rho0).base
+    rows = []
+
+    def rate(rho):
+        attrition, retirement, aging, total = reference_hiring_terms(par, rho)
+        rows.append((total, reference_entropy(par, base, rho), attrition, retirement, aging))
+        return reference_headcount(par, rho), attrition + retirement + aging
+
+    res = march("budget", rho0, dt, t_end, snapshot_every, par.mu_max, rate, budget._stepper(par, dt))
+    return res, np.array(rows).T
+
+
+def bundled_budget_run(name):
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    return sc.budget_params(), sc.rho0, sc.effective_dt(), sc.t_end
+
+
+@pytest.mark.parametrize("name", ["bu-a-budget", "bu-b-budget"])
+def test_budget_run_matches_reference_expressions(name):
+    par, rho0, dt, t_end = bundled_budget_run(name)
+    got = simulate_budget(par, rho0, dt=dt, t_end=t_end, snapshot_every=dt)
+    want, (total, entropy, *parts) = reference_simulate_budget(par, rho0, dt, t_end, dt)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.snapshot_times, want.snapshot_times)
+    assert close(got.headcount, want.headcount)
+    assert close(got.hiring, want.hiring)
+    assert close(got.budget, total)
+    assert close(got.entropy, entropy)
+    for key, series in zip(("attrition", "retirement", "aging"), parts):
+        assert close(got.hiring_parts[key], series), key
+    assert len(got.snapshots) == len(want.snapshots) == len(got.times)
+    for k, (p, q) in enumerate(zip(got.snapshots, want.snapshots)):
+        assert close(p.values, q.values), f"snapshot {k}"
+
+
+@pytest.mark.parametrize("name", ["bu-a-budget", "bu-b-budget"])
+def test_bundled_budget_drift_stays_within_1e_13(name):
+    par, rho0, dt, t_end = bundled_budget_run(name)
+    b = simulate_budget(par, rho0, dt=dt, t_end=t_end).budget
+    assert float(np.max(np.abs(b - b[0])) / abs(b[0])) <= REL
 
 
 def test_advance_pins_the_entry_node_and_writes_out():
