@@ -16,7 +16,6 @@ from .budget import (
     relative_entropy,
     simulate_budget,
     stationary_family,
-    step_budget,
 )
 from .errors import (
     DegenerateScenarioError,
@@ -54,7 +53,7 @@ from .optimizer import (
     stationary_mixture,
 )
 from .output import read_columns, read_timeseries, write_columns, write_profile, write_timeseries
-from .results import PopulationState, SimulationResult, detect_steady_state
+from .results import SimulationResult, detect_steady_state
 from .scenario import (
     Scenario,
     cfl_margin,
@@ -72,7 +71,6 @@ from .saturating import (
     hiring_response,
     recruitment_index,
     simulate_saturating,
-    step_saturating,
 )
 
 __version__ = "0.1.0"

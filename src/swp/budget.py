@@ -47,9 +47,7 @@ from .numerics import (
     steady_shape,
     _same_grid,
 )
-from .results import (
-    PopulationState, SimulationResult, march, max_stable_dt, require_finite, step_state,
-)
+from .results import SimulationResult, march, max_stable_dt, require_finite
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,7 @@ def budget_total(rho: AgeProfile, params: BudgetParams) -> float:
     return float((params.omega.values[1:] * rho.values[1:]).sum() * params.grid.dz)
 
 
-def hiring_rate(state: PopulationState, params: BudgetParams) -> tuple[float, dict]:
+def hiring_rate(rho: AgeProfile, params: BudgetParams) -> tuple[float, dict]:
     """Budget-balancing hiring rate and its three-term decomposition.
 
     Returns ``(h, parts)`` with parts keyed ``attrition`` (cost released by
@@ -131,7 +129,7 @@ def hiring_rate(state: PopulationState, params: BudgetParams) -> tuple[float, di
     the standing workforce, entering with a minus sign).  The three parts
     sum to h exactly.
     """
-    _, attrition, retirement, aging, _, _ = _reductions(params)(state.rho.values)
+    _, attrition, retirement, aging, _, _ = _reductions(params)(rho.values)
     h = attrition + retirement + aging
     return h, {"attrition": attrition, "retirement": retirement, "aging": aging}
 
@@ -199,18 +197,6 @@ def _stepper(params: BudgetParams, dt: float):
     return update
 
 
-def step_budget(state: PopulationState, params: BudgetParams, dt: float) -> PopulationState:
-    """Advance one step with the explicit conservative upwind scheme.
-
-    By Abel summation the nodal budget balance differs from the three-term
-    rate by omega_1 rho_0 / hire_cost.  A run keeps rho_0 = 0, so only a
-    state handed in with mass on the entry node needs that correction.
-    """
-    h, _ = hiring_rate(state, params)
-    h -= float(params.omega.values[1] * state.rho.values[0]) / params.hire_cost
-    return step_state(state, dt, params.mu_max, h, _stepper(params, dt))
-
-
 @dataclass(frozen=True)
 class StationaryFamily:
     """All steady states are multiples of one base profile.
@@ -236,14 +222,14 @@ def stationary_family(params: BudgetParams, rho0: AgeProfile) -> StationaryFamil
     return StationaryFamily(base, m)
 
 
-def relative_entropy(state: PopulationState, family: StationaryFamily, params: BudgetParams) -> float:
-    """Quadratic relative entropy of the state against the stationary base.
+def relative_entropy(rho: AgeProfile, family: StationaryFamily, params: BudgetParams) -> float:
+    """Quadratic relative entropy of rho against the stationary base.
 
     H = dz * sum omega_j base_j (rho_j / base_j)^2 over nodes where the base
     is positive.  Along budget-model trajectories H is nonincreasing
     whenever the hire coefficients mu*omega - omega' are nonnegative.
     """
-    return _reductions(params, family.base)(state.rho.values)[-1]
+    return _reductions(params, family.base)(rho.values)[-1]
 
 
 def simulate_budget(

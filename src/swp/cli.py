@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .budget import simulate_budget
 from .errors import SwpError, ValidationError
-from .numerics import integrate
+from .numerics import AgeProfile, integrate
 from .optimizer import (
     KnowledgeConstraint,
     has_tied_minimum,
@@ -36,7 +36,7 @@ from .optimizer import (
 )
 from .output import write_columns, write_profile, write_timeseries
 from .plots import _check_charts, age_structure_plot, cost_curve_plot, headcount_plot, profile_plot
-from .results import PopulationState, detect_steady_state
+from .results import detect_steady_state
 from .saturating import equilibria, simulate_saturating
 from .scenario import Scenario, cfl_margin, load_scenario
 
@@ -263,10 +263,10 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _current_structure(scenario: Scenario, curves) -> PopulationState | None:
+def _current_structure(scenario: Scenario, curves) -> AgeProfile | None:
     """The structure the savings are measured against, if the file gives one."""
     if scenario.rho0 is not None:
-        return PopulationState(0.0, scenario.rho0)
+        return scenario.rho0
     if scenario.current_hiring is not None:
         return stationary_mixture(curves, scenario.current_hiring)
     return None

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import AgeGrid, AgeProfile, log_survival, steady_shape, _log_tail, _same_grid
-from .results import PopulationState
 
 # Relative slack when hunting for tied minima of d (pure float noise).
 _TIE_REL = 1e-12
@@ -170,7 +169,7 @@ def optimize(wage: AgeProfile, mu: AgeProfile, constraint: KnowledgeConstraint) 
     return optimal_structure(curves, optimal_hiring_age(curves), constraint)
 
 
-def stationary_mixture(curves: OptimizerCurves, hire_density: AgeProfile) -> PopulationState:
+def stationary_mixture(curves: OptimizerCurves, hire_density: AgeProfile) -> AgeProfile:
     """Sustainable structure produced by hiring at rate u(y) across ages.
 
     The scheme's fixed point for hiring density u: each cohort hired at age y
@@ -182,7 +181,7 @@ def stationary_mixture(curves: OptimizerCurves, hire_density: AgeProfile) -> Pop
     _same_grid(curves.wage, hire_density)
     if np.any(hire_density.values < 0):
         raise ValidationError("hiring density has negative entries")
-    return PopulationState(0.0, steady_shape(curves.mu, hire_density))
+    return steady_shape(curves.mu, hire_density)
 
 
 @dataclass(frozen=True)
@@ -192,12 +191,10 @@ class SavingsReport:
     saving_fraction: float
 
 
-def policy_savings(current: PopulationState, wage: AgeProfile, policy: OptimalPolicy) -> SavingsReport:
+def policy_savings(current: AgeProfile, wage: AgeProfile, policy: OptimalPolicy) -> SavingsReport:
     """Wage-bill saving of the optimal policy against a current structure."""
-    _same_grid(wage, current.rho)
-    current_cost = float(
-        (wage.values[:-1] * current.rho.values[:-1]).sum() * wage.grid.dz
-    )
+    _same_grid(wage, current)
+    current_cost = float((wage.values[:-1] * current.values[:-1]).sum() * wage.grid.dz)
     if current_cost <= 0:
         raise ValidationError("current structure has zero wage bill; saving undefined")
     return SavingsReport(

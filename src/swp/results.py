@@ -1,4 +1,4 @@
-"""Simulation state, result containers, the shared time loop and steady-state detection."""
+"""The result of a run, the time loop both models share and steady-state detection."""
 
 from __future__ import annotations
 
@@ -8,28 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .numerics import AgeGrid, AgeProfile, integrate, l1_distance
+from .numerics import AgeGrid, AgeProfile, l1_distance
 
 # Relative slack on the step bound, so a dt computed as the bound itself passes.
 _CFL_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class PopulationState:
-    """Workforce density at one instant."""
-
-    t: float
-    rho: AgeProfile
-
-    @property
-    def headcount(self) -> float:
-        return integrate(self.rho)
-
-    @property
-    def experience(self) -> float:
-        """Knowledge proxy: integral of age * density."""
-        weighted = self.rho.values * self.rho.grid.nodes
-        return float(weighted[:-1].sum() * self.rho.grid.dz)
 
 
 @dataclass(frozen=True)
@@ -118,30 +100,6 @@ def check_dt(dt: float, grid: AgeGrid, mu_max: float) -> None:
         )
 
 
-def advance(rho: np.ndarray, update, h: float, out: np.ndarray) -> np.ndarray:
-    """Next density into ``out``: entry node pinned to zero, nodes 1..n from the update.
-
-    ``update(rho, h, out)`` writes nodes 1..n of the next density into the
-    n-sized view ``out[1:]``; ``out`` must not share memory with ``rho``.
-    Returns ``out``.
-    """
-    out[0] = 0.0
-    update(rho, h, out[1:])
-    return out
-
-
-def step_state(
-    state: PopulationState, dt: float, mu_max: float, h: float, update
-) -> PopulationState:
-    """One checked step of a single state with hiring rate ``h``."""
-    check_dt(dt, state.rho.grid, mu_max)
-    rho = state.rho.values
-    if np.any(rho < 0):
-        raise ValidationError("state density has negative entries")
-    new = advance(rho, update, h, np.empty_like(rho))
-    return PopulationState(state.t + dt, state.rho.with_values(new))
-
-
 def march(
     model: str,
     rho0: AgeProfile,
@@ -157,11 +115,12 @@ def march(
     The entry node of rho0 is forced to zero (hiring enters through the
     source term, not the boundary).  Each step records the headcount P and
     the hiring rate h that ``rate(rho)`` returns as ``(P, h)``, keeps a copy
-    of the profile at snapshot steps and moves nodes 1..n on with
-    ``update(rho, h, out)`` (see :func:`advance`).  The run holds two state
-    buffers and swaps them every step, so ``rho`` handed to ``rate`` and
-    ``update`` is only valid during that step; the update writes the other
-    buffer and never the one it reads.
+    of the profile at snapshot steps and moves on: the entry node of the next
+    density stays zero and ``update(rho, h, out)`` writes nodes 1..n into the
+    n-sized view ``out``.  The run holds two state buffers and swaps them
+    every step, so ``rho`` handed to ``rate`` and ``update`` is only valid
+    during that step; the update writes the other buffer and never the one
+    it reads.
 
     Overflow does not warn.  The loop stops at the first step whose
     headcount or hiring rate is not finite and returns the series up to that
@@ -176,7 +135,7 @@ def march(
 
     rho = rho0.values.copy()
     rho[0] = 0.0
-    spare = np.empty_like(rho)
+    spare = np.zeros_like(rho)
     times = np.arange(n_steps + 1) * dt
     headcount = np.empty(n_steps + 1)
     hiring = np.empty(n_steps + 1)
@@ -191,7 +150,8 @@ def march(
                 snaps.append(AgeProfile(grid, rho))
             if k == n_steps:
                 break
-            rho, spare = advance(rho, update, h, spare), rho
+            update(rho, h, spare[1:])
+            rho, spare = spare, rho
 
     end = k + 1
     return SimulationResult(

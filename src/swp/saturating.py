@@ -49,7 +49,7 @@ from .numerics import (
     steady_shape,
     _same_grid,
 )
-from .results import PopulationState, SimulationResult, march, require_finite, step_state
+from .results import SimulationResult, march, require_finite
 
 # Exponential attrition decay is contractive on windows of length span when
 # beta stays below this bound; larger beta still converges in practice but
@@ -205,12 +205,6 @@ def _stepper(params: SaturatingParams, dt: float):
         np.divide(out, mu_fac, out=out)
 
     return update
-
-
-def step_saturating(state: PopulationState, params: SaturatingParams, dt: float) -> PopulationState:
-    """Advance one time step with the semi-implicit upwind scheme."""
-    a = hiring_response(params, integrate(state.rho))
-    return step_state(state, dt, params.mu_max, a, _stepper(params, dt))
 
 
 def simulate_saturating(

@@ -400,14 +400,19 @@ def _csv_profile(file_path: Path, grid: AgeGrid, path: str) -> AgeProfile:
                     path=path,
                 )
             try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
+                z, v = float(row[0]), float(row[1])
             except ValueError:
                 raise ValidationError(
                     f"{file_path}: row {i + 2} is not numeric",
                     code="bad-value",
                     path=path,
                 ) from None
+            if not (math.isfinite(z) and math.isfinite(v)):
+                raise ValidationError(
+                    f"{file_path}: row {i + 2} is not finite", code="bad-value", path=path
+                )
+            xs.append(z)
+            ys.append(v)
     if len(xs) < 2:
         raise ValidationError(
             f"{file_path}: need at least two data rows", code="bad-value", path=path
@@ -473,7 +478,10 @@ def _as_number(value, path: str) -> float:
         raise ValidationError(
             f"expected a number, got {type(value).__name__}", code="bad-value", path=path
         )
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int too large for a float
+        value = math.inf
     if not math.isfinite(value):
         raise ValidationError("expected a finite number", code="bad-value", path=path)
     return value

@@ -224,8 +224,9 @@ def test_criterion_09_optimum_beats_randomized_structures():
     for _ in range(200):
         u = AgeProfile(g, rng.uniform(0.0, 2.0, g.n + 1) ** 2)
         mix = stationary_mixture(curves, u)
-        policy = optimal_structure(curves, z0, KnowledgeConstraint(mix.experience))
-        cost = integrate(AgeProfile(g, wage.values * mix.rho.values))
+        experience = integrate(mix.with_values(g.nodes * mix.values))
+        policy = optimal_structure(curves, z0, KnowledgeConstraint(experience))
+        cost = integrate(AgeProfile(g, wage.values * mix.values))
         worst = min(worst, (cost - policy.cost) / policy.cost)
     check(
         9,

@@ -12,7 +12,6 @@ from swp import (
     AgeProfile,
     BudgetParams,
     DegenerateScenarioError,
-    PopulationState,
     StepSizeError,
     ValidationError,
     budget_total,
@@ -25,9 +24,13 @@ from swp import (
     relative_entropy,
     simulate_budget,
     stationary_family,
-    step_budget,
 )
 from swp.results import max_stable_dt
+
+
+def one_step(par, rho, dt):
+    """One step of a budget run from rho; the new density is its ``final``."""
+    return simulate_budget(par, rho, dt=dt, t_end=dt)
 
 
 def flat_params(grid, mu=0.1, omega=1.0):
@@ -50,7 +53,7 @@ def interior_hiring_params(grid):
 
 class TestHiringRate:
     def test_zero_state(self, grid50):
-        h, parts = hiring_rate(PopulationState(0.0, constant_profile(grid50, 0.0)), flat_params(grid50))
+        h, parts = hiring_rate(constant_profile(grid50, 0.0), flat_params(grid50))
         assert h == 0.0
         assert parts["attrition"] == parts["retirement"] == 0.0
 
@@ -58,7 +61,7 @@ class TestHiringRate:
         # omega = 1, mu = 0.1, rho = 10: h = (mu*P + rho(z_max)) / hire_cost
         # = (50 + 10) / 1.02; the entry node's hires enter node 1, so the
         # uniform hiring density costs 51 nodes * 1/50
-        h, parts = hiring_rate(PopulationState(0.0, constant_profile(grid50, 10.0)), flat_params(grid50))
+        h, parts = hiring_rate(constant_profile(grid50, 10.0), flat_params(grid50))
         assert h == pytest.approx(60.0 / 1.02, rel=1e-14)
         assert parts["attrition"] == pytest.approx(50.0 / 1.02, rel=1e-14)
         assert parts["retirement"] == pytest.approx(10.0 / 1.02, rel=1e-14)
@@ -67,15 +70,15 @@ class TestHiringRate:
     def test_parts_sum_to_rate(self, grid50):
         rng = np.random.default_rng(3)
         par = interior_hiring_params(grid50)
-        state = PopulationState(0.0, AgeProfile(grid50, rng.uniform(0.0, 40.0, grid50.n + 1)))
-        h, parts = hiring_rate(state, par)
+        rho = AgeProfile(grid50, rng.uniform(0.0, 40.0, grid50.n + 1))
+        h, parts = hiring_rate(rho, par)
         assert h == pytest.approx(sum(parts.values()), rel=1e-12)
 
     def test_stationary_base_rate_is_step_invariant(self, grid50):
         par = interior_hiring_params(grid50)
         base = swp.steady_shape(par.mu, par.gamma)
-        h0, _ = hiring_rate(PopulationState(0.0, base), par)
-        after = step_budget(PopulationState(0.0, base), par, default_budget_dt(par))
+        h0, _ = hiring_rate(base, par)
+        after = one_step(par, base, default_budget_dt(par)).final
         h1, _ = hiring_rate(after, par)
         assert h1 == pytest.approx(h0, rel=1e-12)
 
@@ -120,42 +123,48 @@ class TestBudgetAssumption:
 
 class TestStepBudget:
     def test_zero_state_fixed_point(self, grid50):
-        out = step_budget(PopulationState(0.0, constant_profile(grid50, 0.0)), flat_params(grid50), 0.5)
-        assert np.all(out.rho.values == 0.0)
+        out = one_step(flat_params(grid50), constant_profile(grid50, 0.0), 0.5).final
+        assert np.all(out.values == 0.0)
 
     def test_golden_flat_fixed_point(self, grid50):
-        # omega = 1, mu = 0.1, rho = 10, hiring uniform over nodes 1..n (so none
-        # enters at node 1 twice), dt = 0.5, dz = 1: effective intake
-        # balances attrition and transport exactly, node by node
-        uniform = np.ones(grid50.n + 1)
-        uniform[0] = 0.0
+        # omega = 1, mu = 0.1, rho = 10 on nodes 1..n (a run pins node 0 to
+        # 0), dt = 0.5, dz = 1.  Hiring weight 1 on every node plus 10 at the
+        # entry age, which enters node 1, so node 1 takes 11 hire units and
+        # replaces the 10 that flow on to node 2: effective intake balances
+        # attrition and transport exactly, node by node
+        weights = np.ones(grid50.n + 1)
+        weights[0] = 10.0
         par = BudgetParams.build(
             constant_profile(grid50, 0.1),
-            normalize_distribution(AgeProfile(grid50, uniform)),
+            normalize_distribution(AgeProfile(grid50, weights)),
             constant_profile(grid50, 1.0),
         )
-        state = PopulationState(0.0, constant_profile(grid50, 10.0))
-        out = step_budget(state, par, 0.5)
+        rho = constant_profile(grid50, 10.0)
+        out = one_step(par, rho, 0.5).final
         expected = np.full(grid50.n + 1, 10.0)
         expected[0] = 0.0
-        np.testing.assert_allclose(out.rho.values, expected, rtol=1e-13)
-        b0 = budget_total(state.rho, par)
+        np.testing.assert_allclose(out.values, expected, rtol=1e-13)
+        b0 = budget_total(rho, par)
         assert b0 == pytest.approx(500.0, rel=1e-14)
-        assert budget_total(out.rho, par) == pytest.approx(b0, rel=1e-13)
+        assert budget_total(out, par) == pytest.approx(b0, rel=1e-13)
 
     def test_stationary_base_exact_fixed_point(self, grid50):
         par = interior_hiring_params(grid50)
         base = swp.steady_shape(par.mu, par.gamma)
-        out = step_budget(PopulationState(0.0, base), par, default_budget_dt(par))
-        np.testing.assert_allclose(out.rho.values, base.values, rtol=1e-12, atol=1e-15)
+        out = one_step(par, base, default_budget_dt(par)).final
+        np.testing.assert_allclose(out.values, base.values, rtol=1e-12, atol=1e-15)
 
     def test_cfl_violation_rejected(self, grid50):
         par = flat_params(grid50)
-        state = PopulationState(0.0, constant_profile(grid50, 10.0))
         with pytest.raises(StepSizeError):
-            step_budget(state, par, 0.95)  # bound: 1 - 0.1 dt - dt >= 0 -> dt <= 1/1.1
+            one_step(par, constant_profile(grid50, 10.0), 0.95)  # bound: 1 - 0.1 dt - dt >= 0 -> dt <= 1/1.1
 
-    @pytest.mark.parametrize("call", ["step_budget", "simulate_budget"])
+    def test_negative_density_rejected(self, grid50):
+        rho = constant_profile(grid50, 10.0)
+        with pytest.raises(ValidationError, match="initial density has negative entries"):
+            one_step(flat_params(grid50), rho.with_values(rho.values - 10.5), 0.5)
+
+    @pytest.mark.parametrize("call", ["one_step", "simulate_budget"])
     def test_cfl_bound_is_sharp(self, grid50, call):
         par = flat_params(grid50)
         rho = constant_profile(grid50, 10.0)
@@ -163,8 +172,8 @@ class TestStepBudget:
         assert bound == 1.0 / 1.1
 
         def run(dt):
-            if call == "step_budget":
-                return step_budget(PopulationState(0.0, rho), par, dt)
+            if call == "one_step":
+                return one_step(par, rho, dt)
             return simulate_budget(par, rho, dt=dt, t_end=3 * bound)
 
         run(bound)
@@ -179,9 +188,8 @@ class TestStepBudget:
         par = interior_hiring_params(g)
         rho = rng.uniform(0.0, 50.0, g.n + 1)
         rho[0] = 0.0
-        state = PopulationState(0.0, AgeProfile(g, rho))
-        before = budget_total(state.rho, par)
-        after = budget_total(step_budget(state, par, default_budget_dt(par)).rho, par)
+        before = budget_total(AgeProfile(g, rho), par)
+        after = budget_total(one_step(par, AgeProfile(g, rho), default_budget_dt(par)).final, par)
         assert after == pytest.approx(before, rel=1e-12)
 
     def test_positivity_under_assumption(self, grid50):
@@ -190,11 +198,11 @@ class TestStepBudget:
         assert par.assumption.holds
         rho = rng.uniform(0.0, 30.0, grid50.n + 1)
         rho[0] = 0.0
-        state = PopulationState(0.0, AgeProfile(grid50, rho))
         dt = default_budget_dt(par)
-        for _ in range(30):
-            state = step_budget(state, par, dt)
-            assert np.all(state.rho.values >= 0.0)
+        res = simulate_budget(par, AgeProfile(grid50, rho), dt=dt, t_end=30 * dt)
+        assert len(res.snapshots) == 31
+        for snap in res.snapshots:
+            assert np.all(snap.values >= 0.0)
 
 
 class TestStationaryFamily:
@@ -231,15 +239,14 @@ class TestRelativeEntropy:
         fam = stationary_family(par, constant_profile(grid50, 1.0))
         base = fam.base
         for m in (1.0, 2.5):
-            state = PopulationState(0.0, base.with_values(m * base.values))
+            rho = base.with_values(m * base.values)
             expected = m * m * budget_total(base, par)
-            assert relative_entropy(state, fam, par) == pytest.approx(expected, rel=1e-12)
+            assert relative_entropy(rho, fam, par) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_state(self, grid50):
         par = interior_hiring_params(grid50)
         fam = stationary_family(par, constant_profile(grid50, 1.0))
-        state = PopulationState(0.0, constant_profile(grid50, 0.0))
-        assert relative_entropy(state, fam, par) == 0.0
+        assert relative_entropy(constant_profile(grid50, 0.0), fam, par) == 0.0
 
     def test_monotone_along_trajectory(self, grid50):
         par = interior_hiring_params(grid50)
@@ -271,19 +278,6 @@ class TestSimulateBudget:
         mu_max = float(par.mu.values.max())
         assert 1.0 - mu_max * dt - dt / grid50.dz >= 0.0
         assert dt == pytest.approx(0.9 * grid50.dz / (1.0 + grid50.dz * mu_max), rel=1e-12)
-
-    def test_run_equals_step_loop_bitwise(self, scenarios_dir):
-        sc = swp.load_scenario(scenarios_dir / "bu-a-budget.json")
-        par, dt = sc.budget_params(), sc.effective_dt()
-        res = simulate_budget(par, sc.rho0, dt=dt, t_end=sc.t_end, snapshot_every=dt)
-        assert len(res.snapshots) == len(res.times)
-        rho = sc.rho0.values.copy()
-        rho[0] = 0.0
-        state = PopulationState(0.0, AgeProfile(sc.grid, rho))
-        for k, snap in enumerate(res.snapshots):
-            assert np.array_equal(snap.values, state.rho.values)
-            assert res.hiring[k] == hiring_rate(state, par)[0]
-            state = step_budget(state, par, dt)
 
     def test_non_finite_series_rejected_after_the_run(self, scenarios_dir):
         # w * rho^2 overflows for rho = 1e155, so every entropy value is inf

@@ -399,6 +399,27 @@ class TestErrorsAndExitCodes:
         assert err.startswith("error[file-missing]:")
         assert "wages.csv" in err
 
+    @pytest.mark.parametrize("block, key", [("grid", "dz"), ("time", "t_end")])
+    def test_json_integer_too_large_for_a_float_is_bad_value(self, capsys, tmp_path, block, key):
+        doc = json.loads(json.dumps(BUDGET_DOC))
+        doc[block][key] = 10**400  # valid JSON, beyond the float range
+        code, out, err = run(capsys, "validate", "--scenario", str(write_doc(tmp_path, doc)))
+        assert code == 1
+        assert out == ""
+        assert err == f"error[bad-value]: $.{block}.{key}: expected a finite number\n"
+
+    @pytest.mark.parametrize("row", ["45,nan", "45,inf", "45,1e400", "nan,40000"])
+    def test_non_finite_profile_csv_cell_is_bad_value(self, capsys, tmp_path, row):
+        doc = json.loads(json.dumps(BUDGET_DOC))
+        doc["profiles"]["cost"] = {"csv": "wages.csv"}
+        (tmp_path / "wages.csv").write_text(f"z,wage\n20,40000\n{row}\n70,40000\n")
+        code, out, err = run(capsys, "validate", "--scenario", str(write_doc(tmp_path, doc)))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error[bad-value]: $.profiles.cost: {tmp_path / 'wages.csv'}: row 3 is not finite\n"
+        )
+
     def test_infeasible_calibration_exits_2(self, capsys, tmp_path):
         doc = {
             "name": "hopeless",

@@ -3,7 +3,8 @@
 The references below are the update expressions, hiring terms, budget total
 and masked entropy as written before the kernels wrote into preallocated
 buffers.  The two update kernels must round every value as their references
-do, so those comparisons are on the int64 bit patterns.  The per-step sums
+do, so those comparisons are on the int64 bit patterns, and so is a whole
+run against a plain loop over the reference updates.  The per-step sums
 are one matrix-vector product and one dot, which reassociate the reference
 sums; they, and whole budget runs built on them, are held to a relative
 1e-13 instead (``close``).
@@ -29,7 +30,7 @@ from swp import (
 )
 from swp import budget, load_scenario, saturating
 from swp.numerics import hire_source
-from swp.results import advance, march
+from swp.results import march
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SIZES = (50, 500, 5000)
@@ -257,14 +258,63 @@ def test_bundled_budget_drift_stays_within_1e_13(name):
 
 
 def test_advance_pins_the_entry_node_and_writes_out():
-    rng, _, mu, gamma, omega = random_profiles(50, seed=11)
+    # one step of a run from a state with mass on the entry node: the run
+    # pins node 0 to 0 first and steps the pinned state
+    rng, g, mu, gamma, omega = random_profiles(50, seed=11)
     par = BudgetParams.build(mu, gamma, omega)
     dt = default_budget_dt(par)
     rho = random_state(rng, 50)
-    out = np.full(51, np.nan)
-    assert advance(rho, budget._stepper(par, dt), 3.0, out) is out
-    assert out[0] == 0.0
-    assert np.array_equal(bits(out[1:]), bits(reference_budget_update(par, dt)(rho, 3.0)))
+    rho[0] = 5.0
+    res = simulate_budget(par, AgeProfile(g, rho), dt=dt, t_end=dt)
+    first, out = res.snapshots[0].values, res.final.values
+    assert first[0] == out[0] == 0.0
+    assert np.array_equal(first[1:], rho[1:])
+    assert np.array_equal(bits(out[1:]), bits(reference_budget_update(par, dt)(first, res.hiring[0])))
+
+
+def plain_loop(sc, dt, n_steps):
+    """Profiles, headcounts and hiring rates of a scenario's run as a plain loop.
+
+    Every step makes fresh arrays with the reference update; h comes from
+    the fused sums (budget) or the hiring response (saturating).
+    """
+    rho = sc.rho0.values.copy()
+    rho[0] = 0.0
+    if sc.model == "budget":
+        par = sc.budget_params()
+        sums, step = budget._reductions(par), reference_budget_update(par, dt)
+
+        def rate(rho):
+            P, attrition, retirement, aging, _, _ = sums(rho)
+            return P, attrition + retirement + aging
+    else:
+        par = sc.saturating_params()
+        step = reference_saturating_update(par, dt)
+
+        def rate(rho):
+            P = float(rho[:-1].sum() * par.grid.dz)
+            return P, saturating.hiring_response(par, P)
+    rows = []
+    for _ in range(n_steps + 1):
+        P, h = rate(rho)
+        rows.append((rho, P, h))
+        rho = np.concatenate(([0.0], step(rho, h)))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["bu-a-budget", "bu-a-saturating"])
+def test_run_equals_step_loop_bitwise(name):
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    dt = sc.effective_dt()
+    if sc.model == "budget":
+        res = simulate_budget(sc.budget_params(), sc.rho0, dt=dt, t_end=sc.t_end, snapshot_every=dt)
+    else:
+        res = simulate_saturating(sc.saturating_params(), sc.rho0, dt, sc.t_end, snapshot_every=dt)
+    assert len(res.snapshots) == len(res.times)
+    rows = plain_loop(sc, dt, len(res.times) - 1)
+    for k, (snap, (rho, P, h)) in enumerate(zip(res.snapshots, rows)):
+        assert np.array_equal(bits(snap.values), bits(rho)), f"step {k}"
+        assert res.headcount[k] == P and res.hiring[k] == h, f"step {k}"
 
 
 @pytest.mark.parametrize("model", ["budget", "saturating"])

@@ -10,7 +10,6 @@ from swp import (
     AgeProfile,
     KnowledgeConstraint,
     PolicyCase,
-    PopulationState,
     ValidationError,
     build_grid,
     constant_profile,
@@ -25,7 +24,6 @@ from swp import (
     has_tied_minimum,
 )
 from swp import budget, saturating
-from swp.results import advance
 
 
 def curves_flat_wage(dz=0.25, w0=40000.0):
@@ -207,9 +205,9 @@ class TestStationaryMixture:
         weights = u.values[:-1] * g.dz
         exp_cost = float((weights * curves.f[:-1]).sum())
         exp_knowledge = float((weights * curves.g[:-1]).sum())
-        cost = integrate(AgeProfile(g, wage.values * mix.rho.values))
+        cost = integrate(AgeProfile(g, wage.values * mix.values))
         assert cost == pytest.approx(exp_cost, rel=1e-9)
-        assert mix.experience == pytest.approx(exp_knowledge, rel=1e-9)
+        assert integrate(mix.with_values(g.nodes * mix.values)) == pytest.approx(exp_knowledge, rel=1e-9)
 
     def test_negative_intensity_rejected(self):
         curves, _ = curves_flat_wage()
@@ -226,10 +224,11 @@ class TestStationaryMixture:
         for _ in range(25):
             u = AgeProfile(g, rng.uniform(0.0, 2.0, g.n + 1) ** 2)
             mix = stationary_mixture(curves, u)
-            if mix.experience <= 0:
+            experience = integrate(mix.with_values(g.nodes * mix.values))
+            if experience <= 0:
                 continue
-            pol = optimal_structure(curves, z0, KnowledgeConstraint(mix.experience))
-            cost = integrate(AgeProfile(g, wage.values * mix.rho.values))
+            pol = optimal_structure(curves, z0, KnowledgeConstraint(experience))
+            cost = integrate(AgeProfile(g, wage.values * mix.values))
             assert cost >= pol.cost * (1.0 - 1e-9)
 
 
@@ -254,7 +253,8 @@ class TestOptimizePipeline:
 @pytest.mark.parametrize("model", ["saturating", "budget"])
 def test_rho_star_is_a_fixed_point_of_the_scheme(scenarios_dir, name, model):
     # one step of the scheme's update, hiring at rate b at z0 only, leaves
-    # rho_star in place; bu-2 hires at the entry age, bu-3 at an interior one
+    # rho_star in place (entry node 0); bu-2 hires at the entry age, bu-3 at
+    # an interior one
     sc = swp.load_scenario(scenarios_dir / name)
     curves = optimizer_curves(sc.omega, sc.mu)
     pol = optimal_structure(
@@ -270,7 +270,9 @@ def test_rho_star_is_a_fixed_point_of_the_scheme(scenarios_dir, name, model):
         par = swp.BudgetParams.build(sc.mu, hire, sc.omega)
         update = budget._stepper(par, swp.default_budget_dt(par))
     rho = pol.rho_star.values
-    moved = np.abs(advance(rho, update, pol.intake, np.empty_like(rho)) - rho).sum()
+    out = np.zeros_like(rho)
+    update(rho, pol.intake, out[1:])
+    moved = np.abs(out - rho).sum()
     assert moved <= 1e-12 * np.abs(rho).sum()
 
 
@@ -280,7 +282,7 @@ class TestPolicySavings:
         wage = interpolate_profile(g, [20, 70], [30000.0, 60000.0])
         curves = optimizer_curves(wage, constant_profile(g, 0.15))
         pol = optimal_structure(curves, 34.0, KnowledgeConstraint(8000.0))
-        report = policy_savings(PopulationState(0.0, pol.rho_star), wage, pol)
+        report = policy_savings(pol.rho_star, wage, pol)
         assert report.saving_fraction == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_current_cost_rejected(self):
@@ -288,9 +290,8 @@ class TestPolicySavings:
         wage = interpolate_profile(g, [20, 70], [30000.0, 60000.0])
         curves = optimizer_curves(wage, constant_profile(g, 0.15))
         pol = optimal_structure(curves, 34.0, KnowledgeConstraint(8000.0))
-        empty = PopulationState(0.0, constant_profile(g, 0.0))
         with pytest.raises(ValidationError):
-            policy_savings(empty, wage, pol)
+            policy_savings(constant_profile(g, 0.0), wage, pol)
 
     def test_current_practice_savings_frozen(self, scenarios_dir):
         sc = swp.load_scenario(scenarios_dir / "bu-2-optimize.json")

@@ -10,7 +10,6 @@ import swp
 from swp import (
     AgeProfile,
     InfeasibleCalibrationError,
-    PopulationState,
     Regime,
     SaturatingParams,
     StepSizeError,
@@ -23,11 +22,15 @@ from swp import (
     normalize_distribution,
     recruitment_index,
     simulate_saturating,
-    step_saturating,
 )
 from swp.results import max_stable_dt, step_count
 
 CLOSED_FORM_BETA = (1.0 - np.exp(-5.0)) / 0.1  # entry-age hiring, mu = 0.1, span 50
+
+
+def one_step(par, rho, dt):
+    """One step of a saturating run from rho; the new density is its ``final``."""
+    return simulate_saturating(par, rho, dt=dt, t_end=dt)
 
 
 def entry_mass_gamma(grid):
@@ -187,44 +190,53 @@ class TestHiringResponse:
 class TestStepSaturating:
     def test_zero_state_fixed_point(self, grid50):
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
-        out = step_saturating(PopulationState(0.0, constant_profile(grid50, 0.0)), par, 1.0)
-        assert np.all(out.rho.values == 0.0)
-        assert out.t == 1.0
+        res = one_step(par, constant_profile(grid50, 0.0), 1.0)
+        assert np.all(res.final.values == 0.0)
+        assert res.snapshot_times[-1] == 1.0
 
     def test_pure_advection_shift(self, grid50):
         # zero attrition; hiring mass confined to the entry node enters node 1
         # only, so dt = dz transports the state one cell right and adds the
-        # hires dt * a * gamma_0 at node 1
+        # hires dt * a * gamma_0 at node 1, where node 0 (pinned to 0 by the
+        # run) brings nothing
         rng = np.random.default_rng(7)
         rho = rng.uniform(0.0, 30.0, grid50.n + 1)
+        rho[0] = 0.0
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.0), entry_mass_gamma(grid50))
-        state = PopulationState(0.0, AgeProfile(grid50, rho))
-        a = hiring_response(par, state.headcount)
-        out = step_saturating(state, par, 1.0)
-        assert out.rho.values[0] == 0.0
-        assert out.rho.values[1] == pytest.approx(rho[0] + a * par.gamma.values[0], rel=1e-13)
-        np.testing.assert_allclose(out.rho.values[2:], rho[1:-1], rtol=1e-13)
+        a = hiring_response(par, swp.integrate(AgeProfile(grid50, rho)))
+        out = one_step(par, AgeProfile(grid50, rho), 1.0).final.values
+        assert out[0] == 0.0
+        assert out[1] == pytest.approx(a * par.gamma.values[0], rel=1e-13)
+        np.testing.assert_allclose(out[2:], rho[1:-1], rtol=1e-13)
 
     def test_golden_one_step(self, grid50):
-        # flat state 10, alpha 1e-6, mu 0.1, uniform hiring, dt = dz = 1:
-        # P = 500, a = 400, every interior node -> (10 + 400*0.02)/1.1; the
-        # entry node's hires enter node 1, which gets (10 + 400*0.04)/1.1
+        # flat state 10 on nodes 1..n (a run pins node 0 to 0), alpha 1e-6,
+        # mu 0.1, uniform hiring, dt = dz = 1: P = 490, a = 490 / 1.2401,
+        # every interior node -> (10 + 0.02 a)/1.1; node 1 takes no inflow
+        # from node 0 but the entry node's hires as well, so it gets 0.04 a/1.1
         par = SaturatingParams.build(
             1e-6, constant_profile(grid50, 0.1), constant_profile(grid50, 0.02)
         )
-        out = step_saturating(PopulationState(0.0, constant_profile(grid50, 10.0)), par, 1.0)
-        expected = np.full(grid50.n + 1, 18.0 / 1.1)
+        res = one_step(par, constant_profile(grid50, 10.0), 1.0)
+        a = 490.0 / 1.2401
+        assert res.hiring[0] == pytest.approx(a, rel=1e-14)
+        expected = np.full(grid50.n + 1, (10.0 + 0.02 * a) / 1.1)
         expected[0] = 0.0
-        expected[1] = 26.0 / 1.1
-        np.testing.assert_allclose(out.rho.values, expected, rtol=1e-14)
+        expected[1] = 0.04 * a / 1.1
+        np.testing.assert_allclose(res.final.values, expected, rtol=1e-14)
 
     def test_cfl_violation_rejected(self, grid50):
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
-        state = PopulationState(0.0, constant_profile(grid50, 10.0))
         with pytest.raises(StepSizeError):
-            step_saturating(state, par, 1.5)
+            one_step(par, constant_profile(grid50, 10.0), 1.5)
 
-    @pytest.mark.parametrize("call", ["step_saturating", "simulate_saturating"])
+    def test_negative_density_rejected(self, grid50):
+        par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
+        rho = constant_profile(grid50, 10.0)
+        with pytest.raises(ValidationError, match="initial density has negative entries"):
+            one_step(par, rho.with_values(rho.values - 10.5), 1.0)
+
+    @pytest.mark.parametrize("call", ["one_step", "simulate_saturating"])
     def test_cfl_bound_is_sharp(self, grid50, call):
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
         rho = constant_profile(grid50, 10.0)
@@ -232,8 +244,8 @@ class TestStepSaturating:
         assert bound == grid50.dz
 
         def run(dt):
-            if call == "step_saturating":
-                return step_saturating(PopulationState(0.0, rho), par, dt)
+            if call == "one_step":
+                return one_step(par, rho, dt)
             return simulate_saturating(par, rho, dt=dt, t_end=3 * bound)
 
         run(bound)
@@ -243,10 +255,11 @@ class TestStepSaturating:
     def test_positivity_preserved(self, grid50):
         rng = np.random.default_rng(11)
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.4), uniform_gamma(grid50, 20.0, 30.0))
-        state = PopulationState(0.0, AgeProfile(grid50, rng.uniform(0.0, 50.0, grid50.n + 1)))
-        for _ in range(25):
-            state = step_saturating(state, par, 1.0)
-            assert np.all(state.rho.values >= 0.0)
+        rho = AgeProfile(grid50, rng.uniform(0.0, 50.0, grid50.n + 1))
+        res = simulate_saturating(par, rho, dt=1.0, t_end=25.0)
+        assert len(res.snapshots) == 26
+        for snap in res.snapshots:
+            assert np.all(snap.values >= 0.0)
 
 
 class TestSimulateSaturating:
@@ -276,19 +289,6 @@ class TestSimulateSaturating:
         res = simulate_saturating(par, report.rho_eq, dt=0.25, t_end=100.0, snapshot_every=10.0)
         drift = np.max(np.abs(res.headcount - report.p_eq)) / report.p_eq
         assert drift < 1e-12
-
-    def test_run_equals_step_loop_bitwise(self, scenarios_dir):
-        sc = swp.load_scenario(scenarios_dir / "bu-a-saturating.json")
-        par, dt = sc.saturating_params(), sc.effective_dt()
-        res = simulate_saturating(par, sc.rho0, dt=dt, t_end=sc.t_end, snapshot_every=dt)
-        assert len(res.snapshots) == len(res.times)
-        rho = sc.rho0.values.copy()
-        rho[0] = 0.0
-        state = PopulationState(0.0, AgeProfile(sc.grid, rho))
-        for k, snap in enumerate(res.snapshots):
-            assert np.array_equal(snap.values, state.rho.values)
-            assert res.hiring[k] == hiring_response(par, swp.integrate(state.rho))
-            state = step_saturating(state, par, dt)
 
     def test_hiring_series_matches_response(self, grid50):
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
