@@ -10,9 +10,8 @@ from .budget import (
     BudgetAssumptionReport,
     BudgetParams,
     StationaryFamily,
+    budget_assumption,
     budget_total,
-    default_budget_dt,
-    hiring_rate,
     relative_entropy,
     simulate_budget,
     stationary_family,
@@ -47,21 +46,13 @@ from .optimizer import (
     has_tied_minimum,
     optimal_hiring_age,
     optimal_structure,
-    optimize,
     optimizer_curves,
     policy_savings,
     stationary_mixture,
 )
 from .output import read_columns, read_timeseries, write_columns, write_profile, write_timeseries
 from .results import SimulationResult, detect_steady_state
-from .scenario import (
-    Scenario,
-    cfl_margin,
-    load_scenario,
-    save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from .scenario import Scenario, cfl_margin, load_scenario, scenario_from_dict
 from .saturating import (
     EquilibriumReport,
     Regime,

@@ -8,32 +8,38 @@ cost profile omega and hiring distribution gamma,
       = [ integral mu*omega*rho + omega(z_max) rho(z_max)
           - integral rho * omega' ] / integral omega * gamma.
 
-Time stepping uses the explicit upwind scheme
+Time stepping is the semi-implicit upwind scheme both models share
+(:func:`swp.results.march`),
 
-    rho_j^{k+1} = rho_j^k (1 - mu_j dt)
-                  + dt * (h_k gamma_j - (rho_j^k - rho_{j-1}^k) / dz),   j >= 1,
+    rho_j^{k+1} = [rho_j^k - (dt/dz)(rho_j^k - rho_{j-1}^k)
+                   + dt * h_k * q_j] / (1 + mu_j * dt),      j >= 1,
 
-with rho_0 = 0 (hires at z_min enter node 1, see :func:`swp.numerics.hire_source`).
-With h_k computed from the same nodal sums the scheme
-conserves the discrete budget  dz * sum_{j>=1} omega_j rho_j  exactly, and
-under the stability bound  1 - max(mu) dt - dt/dz >= 0  it is positivity
-preserving whenever the hire coefficients  mu*omega - omega' >= 0.
+with rho_0 = 0 (hires at z_min enter node 1, see :func:`swp.numerics.hire_source`)
+and the one stability bound dt <= dz; the default step is dt = dz.  The
+h_k that keeps the discrete budget  dz * sum_{j>=1} omega_j rho_j  exact is
+the formula above with the step-discounted cost  wt = omega / (1 + mu dt)
+in place of omega, its forward difference wt' (nodes 1..n-1) in place of
+omega', and  K = dz * sum_{j>=1} wt_j q_j  as the cost of hires:
 
-The finite differences of omega are forward (one-sided at z_max); with that
-choice the continuous three-term decomposition above coincides term by term
-with the nodal sums used by the stepper.
+    h_k = [ dz sum_{j=1..n} mu_j wt_j rho_j + wt_n rho_n
+            - dz sum_{j=1..n-1} wt'_j rho_j ] / K,
 
-The time loop is the one both models share, :func:`swp.results.march`; this
-module supplies the update expression (:func:`_stepper`) and one functional
-for every per-step sum (:func:`_reductions`): one matrix-vector product
-gives the headcount, the attrition and aging terms of h and the budget, and
-one dot the relative entropy.  These reassociate the nodal sums above, so
-they match them to rounding, not bit for bit.
+one linear functional h_k = sum_j c_j rho_j of the density.  The update
+keeps a nonnegative density nonnegative whenever every c_j >= 0 on nodes
+1..n (:func:`budget_assumption`); at dt = dz that reads
+omega_j (1 + mu_{j+1} dz) >= omega_{j+1}, and as dt -> 0 it tends to the
+continuous mu*omega >= omega'.
+
+This module supplies the hiring rate as one functional for every per-step
+sum (:func:`_reductions`): one matrix-vector product gives the headcount,
+the attrition and aging terms of h and the budget, and one dot the relative
+entropy.  These reassociate the nodal sums above, so they match them to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,12 +53,16 @@ from .numerics import (
     steady_shape,
     _same_grid,
 )
-from .results import SimulationResult, march, max_stable_dt, require_finite
+from .results import SimulationResult, check_dt, march, require_finite
 
 
 @dataclass(frozen=True)
 class BudgetAssumptionReport:
-    """Pointwise check of mu * omega >= omega' (hire coefficients >= 0)."""
+    """Sign of the budget hiring rate's weights on nodes 1..n at one step size.
+
+    The margin is the weight c_j in the unit of mu*omega - omega':
+    c_j K / dz = mu_j wt_j - wt'_j (see the module docstring).
+    """
 
     holds: bool
     worst_age: float
@@ -61,27 +71,15 @@ class BudgetAssumptionReport:
 
 @dataclass(frozen=True)
 class BudgetParams:
-    """Model data: attrition, hiring distribution and cost profile.
-
-    ``hire_cost`` is the budget absorbed by a unit hiring rate,
-    dz * sum_{j>=1} omega_j q_j with q the :func:`swp.numerics.hire_source`.
-    """
+    """Model data: attrition, hiring distribution and cost profile."""
 
     mu: AgeProfile
     gamma: AgeProfile
     omega: AgeProfile
-    omega_prime: np.ndarray = field(repr=False)
-    assumption: BudgetAssumptionReport
-    hire_cost: float
 
     @property
     def grid(self) -> AgeGrid:
         return self.mu.grid
-
-    @property
-    def mu_max(self) -> float:
-        """Largest attrition rate; the explicit scheme's step bound depends on it."""
-        return float(self.mu.values.max())
 
     @staticmethod
     def build(mu: AgeProfile, gamma: AgeProfile, omega: AgeProfile) -> "BudgetParams":
@@ -92,26 +90,37 @@ class BudgetParams:
             raise ValidationError("cost profile has negative entries")
         if omega.values[-1] <= 0:
             raise ValidationError("cost profile must be positive at the retirement age")
-        dz = mu.grid.dz
-        w = omega.values
-        wp = np.empty_like(w)
-        wp[:-1] = (w[1:] - w[:-1]) / dz
-        wp[-1] = (w[-1] - w[-2]) / dz  # one-sided at z_max
         require_nonnegative_attrition(mu)
-        hire_cost = float((w[1:] * hire_source(gamma.values)).sum() * dz)
-        if hire_cost <= 0:
+        # K > 0 at every step size exactly when the hires carry cost at dt = 0
+        if not (omega.values[1:] * hire_source(gamma.values)).sum() > 0:
             raise DegenerateScenarioError(
                 "hiring distribution carries no cost weight; budget hiring is undefined"
             )
-        return BudgetParams(mu, gamma, omega, wp, _assumption(mu, w, wp, mu.grid), hire_cost)
+        return BudgetParams(mu, gamma, omega)
 
 
-def _assumption(mu: AgeProfile, w: np.ndarray, wp: np.ndarray, grid: AgeGrid) -> BudgetAssumptionReport:
-    margins = mu.values * w - wp
+def _step_cost(params: BudgetParams, dt: float) -> np.ndarray:
+    """wt = omega / (1 + mu dt), the cost the budget-conserving rate at step dt weighs."""
+    return params.omega.values / (1.0 + params.mu.values * dt)
+
+
+def budget_assumption(params: BudgetParams, dt: float) -> BudgetAssumptionReport:
+    """Whether the hiring rate's weights c_j are >= 0 on nodes 1..n at step dt.
+
+    With them, and dt <= dz, a run keeps a nonnegative density nonnegative
+    and its relative entropy is expected to decay.  The margin reported is
+    c_j K / dz: mu_j wt_j - wt'_j below z_max and mu_n wt_n + wt_n / dz at it,
+    the rows :func:`_reductions` weighs the density with, times K / dz.
+    """
+    mu, dz = params.mu.values, params.grid.dz
+    wt = _step_cost(params, dt)
+    margins = mu[1:] * wt[1:]
+    margins[:-1] -= (wt[2:] - wt[1:-1]) / dz
+    margins[-1] += wt[-1] / dz
     worst = int(np.argmin(margins))
     return BudgetAssumptionReport(
-        holds=bool(margins.min() >= 0.0),
-        worst_age=float(grid.nodes[worst]),
+        holds=bool(margins[worst] >= 0.0),
+        worst_age=float(params.grid.nodes[worst + 1]),
         worst_margin=float(margins[worst]),
     )
 
@@ -121,80 +130,45 @@ def budget_total(rho: AgeProfile, params: BudgetParams) -> float:
     return float((params.omega.values[1:] * rho.values[1:]).sum() * params.grid.dz)
 
 
-def hiring_rate(rho: AgeProfile, params: BudgetParams) -> tuple[float, dict]:
-    """Budget-balancing hiring rate and its three-term decomposition.
-
-    Returns ``(h, parts)`` with parts keyed ``attrition`` (cost released by
-    leavers), ``retirement`` (outflow at z_max) and ``aging`` (cost drift of
-    the standing workforce, entering with a minus sign).  The three parts
-    sum to h exactly.
-    """
-    _, attrition, retirement, aging, _, _ = _reductions(params)(rho.values)
-    h = attrition + retirement + aging
-    return h, {"attrition": attrition, "retirement": retirement, "aging": aging}
+def _entropy_weight(params: BudgetParams, base: AgeProfile) -> np.ndarray:
+    """v = omega dz / base on nodes 1..n where the base is positive, 0 elsewhere."""
+    v = np.zeros(params.grid.n + 1)
+    support = base.values > 0.0
+    support[0] = False
+    v[support] = params.omega.values[support] * params.grid.dz / base.values[support]
+    return v
 
 
-def _reductions(params: BudgetParams, base: AgeProfile | None = None):
-    """Every per-step sum of a density array, weights computed once.
+def _reductions(params: BudgetParams, dt: float, base: AgeProfile):
+    """Every per-step sum of a density array at step dt, weights computed once.
 
     ``sums(rho)`` returns (headcount, attrition, retirement, aging, budget,
-    relative entropy against ``base``, 0 without one).  The 4 x (n+1) weight
-    rows fold in dz and 1/hire_cost; the entropy weight v is omega dz / base
-    on the base's support and 0 elsewhere.
+    relative entropy against ``base``).  The 4 x (n+1) weight rows are the
+    headcount, the attrition row dz mu wt / K on nodes 1..n, the aging row
+    -dz wt' / K on nodes 1..n-1 and the budget; the retirement term is
+    wt_n rho_n / K.
     """
-    grid, w, cost = params.grid, params.omega.values, params.hire_cost
+    grid, mu, w = params.grid, params.mu.values, params.omega.values
     dz = grid.dz
+    wt = _step_cost(params, dt)
+    cost = float((wt[1:] * hire_source(params.gamma.values)).sum() * dz)
     weights = np.zeros((4, grid.n + 1))
     weights[0, :-1] = dz
-    weights[1, 1:] = params.mu.values[1:] * w[1:] * (dz / cost)
-    weights[2, 1:-1] = params.omega_prime[1:-1] * (-dz / cost)
+    weights[1, 1:] = mu[1:] * wt[1:] * (dz / cost)
+    weights[2, 1:-1] = (wt[2:] - wt[1:-1]) * (-1.0 / cost)
     weights[3, 1:] = w[1:] * dz
-    v = np.zeros(grid.n + 1)
-    if base is not None:
-        support = base.values > 0.0
-        support[0] = False
-        v[support] = w[support] * dz / base.values[support]
+    retire = float(wt[-1]) / cost
+    v = _entropy_weight(params, base)
     out = np.empty(4)
     scratch = np.empty(grid.n + 1)
 
     def sums(rho: np.ndarray) -> tuple[float, ...]:
         P, attrition, aging, total = np.matmul(weights, rho, out=out).tolist()
-        retirement = float(w[-1] * rho[-1]) / cost
+        retirement = retire * float(rho[-1])
         entropy = float(np.dot(np.multiply(rho, v, out=scratch), rho))
         return P, attrition, retirement, aging, total, entropy
 
     return sums
-
-
-def default_budget_dt(params: BudgetParams) -> float:
-    """Largest stable step scaled by a safety factor of 0.9."""
-    return max_stable_dt(params.grid, params.mu_max, 0.9)
-
-
-def _stepper(params: BudgetParams, dt: float):
-    """Update of nodes 1..n for hiring rate h: the explicit conservative upwind scheme.
-
-    ``update(rho, h, out)`` writes the n new node values into ``out``, which
-    must not share memory with ``rho``, through one scratch array per
-    stepper.  The ufuncs run in the order of the expression in the comment,
-    so every value is rounded as that expression rounds it.
-    """
-    dz = params.grid.dz
-    survive = 1.0 - params.mu.values[1:] * dt
-    gamma1 = hire_source(params.gamma.values)
-    s = np.empty_like(gamma1)
-
-    def update(rho: np.ndarray, h: float, out: np.ndarray) -> None:
-        # out = rho[1:] * survive + dt * (h * gamma1 - (rho[1:] - rho[:-1]) / dz)
-        np.subtract(rho[1:], rho[:-1], out=s)
-        np.divide(s, dz, out=s)
-        np.multiply(h, gamma1, out=out)
-        np.subtract(out, s, out=s)
-        np.multiply(dt, s, out=s)
-        np.multiply(rho[1:], survive, out=out)
-        np.add(out, s, out=out)
-
-    return update
 
 
 @dataclass(frozen=True)
@@ -225,11 +199,12 @@ def stationary_family(params: BudgetParams, rho0: AgeProfile) -> StationaryFamil
 def relative_entropy(rho: AgeProfile, family: StationaryFamily, params: BudgetParams) -> float:
     """Quadratic relative entropy of rho against the stationary base.
 
-    H = dz * sum omega_j base_j (rho_j / base_j)^2 over nodes where the base
-    is positive.  Along budget-model trajectories H is nonincreasing
-    whenever the hire coefficients mu*omega - omega' are nonnegative.
+    H = dz * sum omega_j base_j (rho_j / base_j)^2 over nodes 1..n where the
+    base is positive.  Along budget-model trajectories H is expected to be
+    nonincreasing whenever :func:`budget_assumption` holds.
     """
-    return _reductions(params, family.base)(rho.values)[-1]
+    rho = rho.values
+    return float(np.dot(rho * _entropy_weight(params, family.base), rho))
 
 
 def simulate_budget(
@@ -241,16 +216,17 @@ def simulate_budget(
 ) -> SimulationResult:
     """Run the budget model from rho0 up to t_end.
 
-    dt defaults to :func:`default_budget_dt`.  Alongside headcount and the
-    hiring decomposition, the conserved budget and the relative entropy
-    against the stationary family of rho0 are recorded every step.  When
-    the positivity assumption mu*omega >= omega' fails the entropy series
-    is still recorded but flagged observational in ``notes``.
+    dt defaults to dz.  Alongside headcount and the hiring decomposition, the
+    conserved budget and the relative entropy against the stationary family
+    of rho0 are recorded every step.  When :func:`budget_assumption` fails
+    at dt the entropy series is still recorded but flagged observational in
+    ``notes``.
     """
     _same_grid(params.mu, rho0)
     if dt is None:
-        dt = default_budget_dt(params)
-    sums = _reductions(params, stationary_family(params, rho0).base)
+        dt = params.grid.dz
+    check_dt(dt, params.grid)  # before the rate's weights, which assume a valid step
+    sums = _reductions(params, dt, stationary_family(params, rho0).base)
     rows: list[tuple[float, ...]] = []  # budget, entropy, attrition, retirement, aging
 
     def rate(rho: np.ndarray) -> tuple[float, float]:
@@ -258,9 +234,7 @@ def simulate_budget(
         rows.append((total, entropy, attrition, retirement, aging))
         return P, attrition + retirement + aging
 
-    result = march(
-        "budget", rho0, dt, t_end, snapshot_every, params.mu_max, rate, _stepper(params, dt)
-    )
+    result = march("budget", rho0, dt, t_end, snapshot_every, params.mu, params.gamma, rate)
     budget, entropy, *part_rows = np.array(rows).T
     parts = dict(zip(("attrition", "retirement", "aging"), part_rows))
     require_finite("budget", result.times, {
@@ -269,11 +243,11 @@ def simulate_budget(
     })
 
     notes: list[str] = []
-    if not params.assumption.holds:
+    report = budget_assumption(params, dt)
+    if not report.holds:
         notes.append(
-            "budget positivity assumption fails at age "
-            f"{params.assumption.worst_age:g} (margin {params.assumption.worst_margin:.3g}); "
-            "entropy diagnostic is observational"
+            f"budget positivity assumption fails at age {report.worst_age:g} "
+            f"(margin {report.worst_margin:.3g}); entropy diagnostic is observational"
         )
 
     return replace(

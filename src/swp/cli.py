@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .budget import simulate_budget
+from .budget import budget_assumption, simulate_budget
 from .errors import SwpError, ValidationError
 from .numerics import AgeProfile, integrate
 from .optimizer import (
@@ -209,14 +209,14 @@ def cmd_simulate(args) -> int:
         slack = 1e-8 * H[0]
         rises = np.nonzero(H[1:] - H[:-1] > slack)[0]
         verdict = "yes" if rises.size == 0 else f"no (first increase at step {rises[0] + 1})"
-        if not budget_params.assumption.holds:
+        if not budget_assumption(budget_params, dt).holds:
             verdict += " [observational: positivity assumption fails]"
         _emit(args, f"entropy monotone: {verdict}")
 
-    _check_charts(result)  # a chart that cannot be drawn fails before any file
+    head, ages = _check_charts(result)  # a chart that cannot be drawn fails before any file
     files = write_timeseries(result, _made(out))
-    files.append(headcount_plot(result, out / "headcount.svg"))
-    files.append(age_structure_plot(result, out / "age_structure.svg"))
+    files.append(headcount_plot(head, out / "headcount.svg"))
+    files.append(age_structure_plot(ages, out / "age_structure.svg"))
     for f in files:
         _emit(args, f"wrote {f}")
     return 0
@@ -284,7 +284,7 @@ def cmd_validate(args) -> int:
         if scenario.rho0 is not None:
             _emit(args, f"initial headcount = {integrate(scenario.rho0):g}")
     if scenario.model == "budget":
-        rep = scenario.budget_params().assumption
+        rep = budget_assumption(scenario.budget_params(), dt)
         if rep.holds:
             _emit(
                 args,

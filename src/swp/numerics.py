@@ -6,11 +6,11 @@ span use the left-rectangle rule
 
     integrate(p) = dz * sum_{j=0}^{n-1} p_j,
 
-which is the convention the transport schemes are written against.  Profiles
+which is the convention the transport scheme is written against.  Profiles
 are immutable: the value array is read-only and every operation returns a
 new profile.
 
-Everything stationary is a sum against a cohort survival, the schemes'
+Everything stationary is a sum against a cohort survival, the scheme's
 S_j = prod_{k=1..j} 1/(1 + mu_k*dz) (:func:`log_survival`) or its continuous
 limit exp(-M_j), taken in log space; cohort tails go through :func:`_log_tail`.
 """
@@ -137,10 +137,10 @@ def require_nonnegative_attrition(mu: AgeProfile) -> None:
 
 
 def log_survival(mu: AgeProfile) -> np.ndarray:
-    """The schemes' cohort survival in log form: log S_j, j = 0..n.
+    """The scheme's cohort survival in log form: log S_j, j = 0..n.
 
-    Both transport schemes carry a cohort from node j-1 to node j with the
-    factor 1/(1 + mu_j*dz), so S_0 = 1 and
+    The transport scheme carries a stationary cohort from node j-1 to node j
+    with the factor 1/(1 + mu_j*dz), so S_0 = 1 and
 
         log S_j = -sum_{k=1..j} log1p(mu_k * dz).
 
@@ -153,7 +153,7 @@ def log_survival(mu: AgeProfile) -> np.ndarray:
 
 
 def hire_source(gamma: np.ndarray) -> np.ndarray:
-    """Hiring density as the schemes feed it to nodes 1..n.
+    """Hiring density as the scheme feeds it to nodes 1..n.
 
     The boundary pins the entry node to zero, so hires at z_min enter the
     first cell: gamma_0 is added to node 1.
@@ -184,7 +184,7 @@ def discounted_tenure(mu: AgeProfile) -> np.ndarray:
         T_i = sum_{j=i..n-1} exp(-(M_j - M_i)) * dz * (1 + s_j) / 2.
 
     Summed in log space (:func:`_log_tail`), T stays finite for any attrition.
-    exp(-M) is the schemes' survival (:func:`log_survival`) in the limit dz -> 0.
+    exp(-M) is the scheme's survival (:func:`log_survival`) in the limit dz -> 0.
     """
     require_nonnegative_attrition(mu)
     dz = mu.grid.dz
@@ -196,7 +196,8 @@ def discounted_tenure(mu: AgeProfile) -> np.ndarray:
 def steady_shape(mu: AgeProfile, gamma: AgeProfile) -> AgeProfile:
     """Stationary age profile sustained by unit-rate hiring under attrition.
 
-    The exact fixed point (per unit hiring rate) of both transport schemes,
+    The exact fixed point (per unit hiring rate) of the transport scheme
+    (:func:`swp.results.march`) at every dt <= dz,
     D_0 = 0 and D_j = (D_{j-1} + dz * q_j) / (1 + mu_j * dz) with q the
     :func:`hire_source`, written with the cohort survival S as
 

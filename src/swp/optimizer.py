@@ -2,7 +2,7 @@
 
 Among stationary age structures holding the total knowledge proxy
 E = integral z * rho(z) dz fixed, the cheapest one concentrates all hiring
-at a single age z0.  With wage profile w and the schemes' cohort survival S
+at a single age z0.  With wage profile w and the scheme's cohort survival S
 (:func:`swp.numerics.log_survival`), a cohort hired at node i at unit rate
 holds the density S_j / S_{i-1} at nodes j >= i, so its left-rule tails are
 
@@ -161,12 +161,6 @@ def optimal_structure(
         cost=float(constraint.total * curves.d[j0]),
         degenerate_support=degenerate,
     )
-
-
-def optimize(wage: AgeProfile, mu: AgeProfile, constraint: KnowledgeConstraint) -> OptimalPolicy:
-    """Convenience wrapper: curves -> argmin -> structure."""
-    curves = optimizer_curves(wage, mu)
-    return optimal_structure(curves, optimal_hiring_age(curves), constraint)
 
 
 def stationary_mixture(curves: OptimizerCurves, hire_density: AgeProfile) -> AgeProfile:

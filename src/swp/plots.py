@@ -49,7 +49,12 @@ def render_line_chart(
     marker_x: float | None = None,
 ) -> Path:
     """Write one chart with any number of (label, xs, ys) series."""
-    (x_lo, x_hi, y_lo, y_hi), pixels = _layout(series)
+    return _render(path, title, _layout(series), x_label, y_label, marker_x)
+
+
+def _render(path, title: str, layout, x_label: str, y_label: str, marker_x) -> Path:
+    """Write one chart from its :func:`_layout`."""
+    (x_lo, x_hi, y_lo, y_hi), pixels = layout
     parts: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
         f'width="{WIDTH}" height="{HEIGHT}">',
@@ -152,31 +157,24 @@ def _simulation_series(result: SimulationResult) -> tuple[list, list]:
             [("initial", z, result.initial.values), ("final", z, result.final.values)])
 
 
-def _check_charts(result: SimulationResult) -> None:
-    """Raise what :func:`headcount_plot` or :func:`age_structure_plot` would, writing nothing."""
-    for series in _simulation_series(result):
-        _layout(series)
+def _check_charts(result: SimulationResult) -> tuple:
+    """Layouts of the headcount and the age-structure chart of a run, writing nothing.
+
+    Raises what drawing either chart would, so a caller can fail before it
+    writes any file, then draw each chart from its layout with
+    :func:`headcount_plot` and :func:`age_structure_plot`.
+    """
+    return tuple(_layout(series) for series in _simulation_series(result))
 
 
-def age_structure_plot(result: SimulationResult, path: str | Path) -> Path:
-    """Initial vs final density over age."""
-    return render_line_chart(
-        path,
-        "Age structure",
-        _simulation_series(result)[1],
-        x_label="age (years)",
-        y_label="density",
-    )
+def age_structure_plot(layout, path: str | Path) -> Path:
+    """Initial vs final density over age, from the second layout of :func:`_check_charts`."""
+    return _render(path, "Age structure", layout, "age (years)", "density", None)
 
 
-def headcount_plot(result: SimulationResult, path: str | Path) -> Path:
-    return render_line_chart(
-        path,
-        "Headcount",
-        _simulation_series(result)[0],
-        x_label="time (years)",
-        y_label="employees",
-    )
+def headcount_plot(layout, path: str | Path) -> Path:
+    """Headcount over time, from the first layout of :func:`_check_charts`."""
+    return _render(path, "Headcount", layout, "time (years)", "employees", None)
 
 
 def cost_curve_plot(grid_nodes: np.ndarray, d: np.ndarray, z0: float, path: str | Path) -> Path:

@@ -1,4 +1,17 @@
-"""The result of a run, the time loop both models share and steady-state detection."""
+"""The result of a run, the time loop and update both models share, steady-state detection.
+
+Both transport models step the semi-implicit upwind scheme
+
+    rho_j^{k+1} = [rho_j^k - (dt/dz)(rho_j^k - rho_{j-1}^k)
+                   + dt * h_k * q_j] / (1 + mu_j * dt),      j >= 1,
+
+with rho_0 = 0 at the entry boundary, q the hiring distribution as
+:func:`swp.numerics.hire_source` feeds it to nodes 1..n, and h_k the model's
+hiring rate at step k.  Attrition is implicit, so for h_k >= 0 the scheme
+keeps a nonnegative density nonnegative under the one stability bound
+dt <= dz (:func:`check_dt`), whatever the attrition.  Its fixed point for a
+constant h is h times :func:`swp.numerics.steady_shape`, for every dt <= dz.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .numerics import AgeGrid, AgeProfile, l1_distance
+from .numerics import AgeGrid, AgeProfile, hire_source, l1_distance
 
 # Relative slack on the step bound, so a dt computed as the bound itself passes.
 _CFL_SLACK = 1e-12
@@ -78,26 +91,40 @@ def snapshot_mask(n_steps: int, dt: float, snapshot_every: float | None) -> np.n
     return keep
 
 
-def max_stable_dt(grid: AgeGrid, mu_max: float, safety: float = 1.0) -> float:
-    """Largest stable step dz / (1 + dz * mu_max), scaled by ``safety``.
-
-    ``mu_max`` is the largest attrition rate the scheme treats explicitly:
-    max(mu) for the budget scheme, 0 for the implicit saturating scheme
-    (whose bound is dz).  Equivalently 1 - mu_max*dt - dt/dz >= 0.
-    """
-    return safety * grid.dz / (1.0 + grid.dz * mu_max)
-
-
-def check_dt(dt: float, grid: AgeGrid, mu_max: float) -> None:
-    """Reject a step that is not positive or exceeds :func:`max_stable_dt`."""
+def check_dt(dt: float, grid: AgeGrid) -> None:
+    """Reject a step that is not positive or exceeds the stability bound dt <= dz."""
     if not (dt > 0):
         raise StepSizeError(f"time step must be positive, got {dt}")
-    bound = max_stable_dt(grid, mu_max)
-    if dt > bound * (1.0 + _CFL_SLACK):
-        rule = "1 - max(mu)*dt - dt/dz >= 0" if mu_max > 0 else "dt <= dz"
+    if dt > grid.dz * (1.0 + _CFL_SLACK):
         raise StepSizeError(
-            f"time step {dt:g} violates the stability bound {rule} (requires dt <= {bound:g})"
+            f"time step {dt:g} violates the stability bound dt <= dz (requires dt <= {grid.dz:g})"
         )
+
+
+def _stepper(mu: AgeProfile, gamma: AgeProfile, dt: float):
+    """Update of nodes 1..n for hiring rate h: the semi-implicit upwind scheme.
+
+    ``update(rho, h, out)`` writes the n new node values into ``out``, which
+    must not share memory with ``rho``, through one scratch array per
+    stepper.  The ufuncs run in the order of the expression in the comment,
+    with the scalar dt*h formed first, so every value is rounded as that
+    expression rounds it.
+    """
+    lam = dt / mu.grid.dz
+    gamma1 = hire_source(gamma.values)
+    mu_fac = 1.0 + mu.values[1:] * dt
+    s = np.empty_like(gamma1)
+
+    def update(rho: np.ndarray, h: float, out: np.ndarray) -> None:
+        # out = (rho[1:] - lam * (rho[1:] - rho[:-1]) + dt * h * gamma1) / mu_fac
+        np.subtract(rho[1:], rho[:-1], out=s)
+        np.multiply(lam, s, out=s)
+        np.subtract(rho[1:], s, out=s)
+        np.multiply(dt * h, gamma1, out=out)
+        np.add(s, out, out=out)
+        np.divide(out, mu_fac, out=out)
+
+    return update
 
 
 def march(
@@ -106,32 +133,32 @@ def march(
     dt: float,
     t_end: float,
     snapshot_every: float | None,
-    mu_max: float,
+    mu: AgeProfile,
+    gamma: AgeProfile,
     rate,
-    update,
 ) -> SimulationResult:
-    """The time loop both transport models share.
+    """The time loop and the update both transport models share.
 
     The entry node of rho0 is forced to zero (hiring enters through the
     source term, not the boundary).  Each step records the headcount P and
     the hiring rate h that ``rate(rho)`` returns as ``(P, h)``, keeps a copy
     of the profile at snapshot steps and moves on: the entry node of the next
-    density stays zero and ``update(rho, h, out)`` writes nodes 1..n into the
-    n-sized view ``out``.  The run holds two state buffers and swaps them
-    every step, so ``rho`` handed to ``rate`` and ``update`` is only valid
-    during that step; the update writes the other buffer and never the one
-    it reads.
+    density stays zero and the update (:func:`_stepper`, attrition ``mu``,
+    hiring distribution ``gamma``) writes nodes 1..n.  The run holds two
+    state buffers and swaps them every step, so ``rho`` handed to ``rate``
+    is only valid during that step.
 
     Overflow does not warn.  The loop stops at the first step whose
     headcount or hiring rate is not finite and returns the series up to that
     step, so every caller passes its series to :func:`require_finite`.
     """
     grid = rho0.grid
-    check_dt(dt, grid, mu_max)
+    check_dt(dt, grid)
     if np.any(rho0.values < 0):
         raise ValidationError("initial density has negative entries")
     n_steps = step_count(t_end, dt)
     keep = snapshot_mask(n_steps, dt, snapshot_every)
+    update = _stepper(mu, gamma, dt)
 
     rho = rho0.values.copy()
     rho[0] = 0.0

@@ -7,18 +7,16 @@ P(t):
 
     a(P) = P / (1 + alpha * P^2),
 
-spread over ages by a fixed distribution gamma.  Time stepping uses the
-semi-implicit upwind scheme
+spread over ages by a fixed distribution gamma.  Time stepping is the
+semi-implicit upwind scheme both models share (:func:`swp.results.march`),
 
     rho_j^{k+1} = [rho_j^k - (dt/dz)(rho_j^k - rho_{j-1}^k)
                    + dt * a_k * gamma_j] / (1 + mu_j * dt),      j >= 1,
 
 with rho_0 = 0 at the entry boundary (hires at z_min enter node 1, see
 :func:`swp.numerics.hire_source`) and a_k evaluated from the current
-headcount.  The scheme is stable and positivity-preserving for dt <= dz
-(:func:`swp.results.max_stable_dt` with no explicit attrition).  The time
-loop is the one both models share, :func:`swp.results.march`; this module
-supplies the hiring response and the update expression (:func:`_stepper`).
+headcount.  Since a_k >= 0, the scheme is stable and positivity-preserving
+under the one bound dt <= dz; this module supplies only the hiring response.
 
 Whether hiring can sustain the workforce is governed by beta_h, the
 headcount unit hiring sustains in the scheme: the integral of the stationary
@@ -42,7 +40,6 @@ from .numerics import (
     AgeGrid,
     AgeProfile,
     discounted_tenure,
-    hire_source,
     integrate,
     require_nonnegative_attrition,
     require_normalized,
@@ -75,11 +72,6 @@ class SaturatingParams:
     @property
     def grid(self) -> AgeGrid:
         return self.mu.grid
-
-    @property
-    def mu_max(self) -> float:
-        """Attrition rate in the step bound: 0, since the scheme treats attrition implicitly."""
-        return 0.0
 
     @staticmethod
     def build(alpha: float, mu: AgeProfile, gamma: AgeProfile) -> "SaturatingParams":
@@ -181,32 +173,6 @@ def hiring_response(params: SaturatingParams, headcount: float) -> float:
     return headcount / (1.0 + params.alpha * headcount * headcount)
 
 
-def _stepper(params: SaturatingParams, dt: float):
-    """Update of nodes 1..n for hiring rate a: the semi-implicit upwind scheme.
-
-    ``update(rho, a, out)`` writes the n new node values into ``out``, which
-    must not share memory with ``rho``, through one scratch array per
-    stepper.  The ufuncs run in the order of the expression in the comment,
-    with the scalar dt*a formed first, so every value is rounded as that
-    expression rounds it.
-    """
-    lam = dt / params.grid.dz
-    gamma1 = hire_source(params.gamma.values)
-    mu_fac = 1.0 + params.mu.values[1:] * dt
-    s = np.empty_like(gamma1)
-
-    def update(rho: np.ndarray, a: float, out: np.ndarray) -> None:
-        # out = (rho[1:] - lam * (rho[1:] - rho[:-1]) + dt * a * gamma1) / mu_fac
-        np.subtract(rho[1:], rho[:-1], out=s)
-        np.multiply(lam, s, out=s)
-        np.subtract(rho[1:], s, out=s)
-        np.multiply(dt * a, gamma1, out=out)
-        np.add(s, out, out=out)
-        np.divide(out, mu_fac, out=out)
-
-    return update
-
-
 def simulate_saturating(
     params: SaturatingParams,
     rho0: AgeProfile,
@@ -222,9 +188,7 @@ def simulate_saturating(
         P = float(rho[:-1].sum() * dz)
         return P, hiring_response(params, P)
 
-    result = march(
-        "saturating", rho0, dt, t_end, snapshot_every, params.mu_max, rate, _stepper(params, dt)
-    )
+    result = march("saturating", rho0, dt, t_end, snapshot_every, params.mu, params.gamma, rate)
     require_finite("saturating", result.times, {
         "headcount": result.headcount, "hiring": result.hiring,
     })

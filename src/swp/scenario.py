@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .budget import BudgetParams, default_budget_dt
+from .budget import BudgetParams, budget_assumption
 from .errors import ValidationError
 from .numerics import (
     AgeGrid,
@@ -93,12 +93,8 @@ class Scenario:
         return self.params
 
     def effective_dt(self) -> float:
-        """The step actually used when the file does not fix one."""
-        if self.dt is not None:
-            return self.dt
-        if self.model == "budget":
-            return default_budget_dt(self.budget_params())
-        return self.grid.dz
+        """The step a run uses: the file's dt, or dz when the file does not fix one."""
+        return self.dt if self.dt is not None else self.grid.dz
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -118,53 +114,6 @@ def load_scenario(path: str | Path) -> Scenario:
 def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
     """Validate an in-memory scenario document (same rules as a file)."""
     return _build_scenario(doc, base_dir=Path(base_dir), source=None)
-
-
-def save_scenario(scenario: Scenario, path: str | Path) -> Path:
-    """Write a canonical copy: profiles expanded to explicit node lists.
-
-    Loading the written file reproduces the scenario exactly (profiles are
-    already on the grid, so interpolation is the identity).
-    """
-    path = Path(path)
-    path.write_text(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    grid = scenario.grid
-
-    def spec(profile: AgeProfile) -> dict:
-        pairs = [[float(z), float(v)] for z, v in zip(grid.nodes, profile.values)]
-        return {"piecewise": pairs}
-
-    profiles: dict[str, dict] = {"attrition": spec(scenario.mu)}
-    if scenario.gamma is not None:
-        profiles["hiring"] = spec(scenario.gamma)
-    if scenario.omega is not None:
-        profiles["cost"] = spec(scenario.omega)
-    if scenario.rho0 is not None:
-        profiles["initial"] = spec(scenario.rho0)
-    if scenario.current_hiring is not None:
-        profiles["current_hiring"] = spec(scenario.current_hiring)
-
-    doc: dict = {
-        "name": scenario.name,
-        "model": scenario.model,
-        "grid": {"z_min": grid.z_min, "z_max": grid.z_max, "dz": grid.dz},
-        "profiles": profiles,
-    }
-    if scenario.model == "saturating":
-        doc["saturating"] = {"alpha": scenario.alpha}
-    if scenario.model == "optimize":
-        doc["optimize"] = {"experience_total": scenario.experience_total}
-    time_block: dict = {"t_end": scenario.t_end}
-    if scenario.dt is not None:
-        time_block["dt"] = scenario.dt
-    if scenario.snapshot_every is not None:
-        time_block["snapshot_every"] = scenario.snapshot_every
-    doc["time"] = time_block
-    return doc
 
 
 def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
@@ -266,12 +215,6 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
 
     if model == "budget":
         params = BudgetParams.build(mu, gamma, omega)
-        if not params.assumption.holds:
-            rep = params.assumption
-            notices.append(
-                f"budget positivity assumption mu*omega >= omega' fails at age "
-                f"{rep.worst_age:g} (margin {rep.worst_margin:.4g})"
-            )
 
     block = _block(doc, "optimize", required=model == "optimize")
     if model == "optimize":
@@ -289,7 +232,16 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
     snapshot_every = _positive(time_block, "snapshot_every", "$.time")
 
     if dt is not None and params is not None:
-        check_dt(dt, grid, params.mu_max)
+        check_dt(dt, grid)
+    if model == "budget":
+        # the verdict depends on the step: name the one it was taken at
+        step = dt if dt is not None else grid.dz
+        rep = budget_assumption(params, step)
+        if not rep.holds:
+            notices.append(
+                f"budget positivity assumption fails at age {rep.worst_age:g} "
+                f"(margin {rep.worst_margin:.4g} at dt = {step:g})"
+            )
 
     return Scenario(
         name=name,
@@ -315,14 +267,13 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
 def cfl_margin(scenario: Scenario) -> tuple[float, float]:
     """(dt in effect, stability margin) for a saturating or budget scenario.
 
-    The margin is the unused fraction of the stable step,
-    1 - dt/max_stable_dt = 1 - max(mu)*dt - dt/dz, with max(mu) = 0 for the
-    saturating scheme (implicit attrition); nonnegative means stable.
+    The margin is the unused fraction of the stable step, 1 - dt/dz;
+    nonnegative means stable.
     """
     if scenario.params is None:
         raise ValidationError(f"scenario models {scenario.model}, which takes no time steps")
     dt = scenario.effective_dt()
-    return dt, 1.0 - scenario.params.mu_max * dt - dt / scenario.grid.dz
+    return dt, 1.0 - dt / scenario.grid.dz
 
 
 def _resolve_profile(spec, grid: AgeGrid, base_dir: Path, path: str) -> AgeProfile:

@@ -16,6 +16,7 @@ from swp import (
     KnowledgeConstraint,
     PolicyCase,
     SaturatingParams,
+    budget_assumption,
     build_grid,
     calibrate_alpha,
     constant_profile,
@@ -173,7 +174,7 @@ def test_criterion_06_entropy_decay_and_limit_profile():
     ok = True
     for name in ("bu-a-budget.json", "bu-b-budget.json"):
         sc, params, result = _budget_run(name)
-        assert params.assumption.holds
+        assert budget_assumption(params, sc.effective_dt()).holds
         H = np.asarray(result.entropy)
         monotone = bool(np.all(H[1:] - H[:-1] <= 1e-8 * H[0]))
         family = stationary_family(params, sc.rho0)

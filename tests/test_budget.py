@@ -14,23 +14,27 @@ from swp import (
     DegenerateScenarioError,
     StepSizeError,
     ValidationError,
+    budget_assumption,
     budget_total,
     build_grid,
     constant_profile,
-    default_budget_dt,
-    hiring_rate,
     interpolate_profile,
     normalize_distribution,
     relative_entropy,
     simulate_budget,
     stationary_family,
 )
-from swp.results import max_stable_dt
 
 
 def one_step(par, rho, dt):
     """One step of a budget run from rho; the new density is its ``final``."""
     return simulate_budget(par, rho, dt=dt, t_end=dt)
+
+
+def hiring_rate(par, rho, dt):
+    """The hiring rate of a run from rho at step dt and its three terms, at t = 0."""
+    res = one_step(par, rho, dt)
+    return res.hiring[0], {key: series[0] for key, series in res.hiring_parts.items()}
 
 
 def flat_params(grid, mu=0.1, omega=1.0):
@@ -53,34 +57,35 @@ def interior_hiring_params(grid):
 
 class TestHiringRate:
     def test_zero_state(self, grid50):
-        h, parts = hiring_rate(constant_profile(grid50, 0.0), flat_params(grid50))
+        h, parts = hiring_rate(flat_params(grid50), constant_profile(grid50, 0.0), 1.0)
         assert h == 0.0
         assert parts["attrition"] == parts["retirement"] == 0.0
 
     def test_flat_profile_closed_form(self, grid50):
-        # omega = 1, mu = 0.1, rho = 10: h = (mu*P + rho(z_max)) / hire_cost
-        # = (50 + 10) / 1.02; the entry node's hires enter node 1, so the
-        # uniform hiring density costs 51 nodes * 1/50
-        h, parts = hiring_rate(constant_profile(grid50, 10.0), flat_params(grid50))
-        assert h == pytest.approx(60.0 / 1.02, rel=1e-14)
-        assert parts["attrition"] == pytest.approx(50.0 / 1.02, rel=1e-14)
-        assert parts["retirement"] == pytest.approx(10.0 / 1.02, rel=1e-14)
-        assert parts["aging"] == pytest.approx(0.0, abs=1e-12)
+        # omega = 1, mu = 0.1, rho = 10: h = (mu*P + rho(z_max)) / K
+        # = (50 + 10) / 1.02 at every dt, since the factor 1/(1 + mu dt) of
+        # wt is the same on every node and cancels; the entry node's hires
+        # enter node 1, so the uniform hiring density costs 51 nodes * 1/50
+        for dt in (0.5, 1.0):
+            h, parts = hiring_rate(flat_params(grid50), constant_profile(grid50, 10.0), dt)
+            assert h == pytest.approx(60.0 / 1.02, rel=1e-14)
+            assert parts["attrition"] == pytest.approx(50.0 / 1.02, rel=1e-14)
+            assert parts["retirement"] == pytest.approx(10.0 / 1.02, rel=1e-14)
+            assert parts["aging"] == pytest.approx(0.0, abs=1e-12)
 
     def test_parts_sum_to_rate(self, grid50):
         rng = np.random.default_rng(3)
         par = interior_hiring_params(grid50)
         rho = AgeProfile(grid50, rng.uniform(0.0, 40.0, grid50.n + 1))
-        h, parts = hiring_rate(rho, par)
+        h, parts = hiring_rate(par, rho, 1.0)
         assert h == pytest.approx(sum(parts.values()), rel=1e-12)
 
     def test_stationary_base_rate_is_step_invariant(self, grid50):
         par = interior_hiring_params(grid50)
         base = swp.steady_shape(par.mu, par.gamma)
-        h0, _ = hiring_rate(base, par)
-        after = one_step(par, base, default_budget_dt(par)).final
-        h1, _ = hiring_rate(after, par)
-        assert h1 == pytest.approx(h0, rel=1e-12)
+        h = simulate_budget(par, base, t_end=2.0).hiring
+        assert h[1] == pytest.approx(h[0], rel=1e-12)
+        assert h[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_degenerate_hire_cost_rejected(self, grid50):
         gam = normalize_distribution(
@@ -93,7 +98,7 @@ class TestHiringRate:
 
 class TestBudgetAssumption:
     def test_constant_cost_holds(self, grid50):
-        report = flat_params(grid50).assumption
+        report = budget_assumption(flat_params(grid50), grid50.dz)
         assert report.holds is True
 
     def test_linear_cost_moderate_attrition_holds(self, grid50):
@@ -102,20 +107,23 @@ class TestBudgetAssumption:
             normalize_distribution(constant_profile(grid50, 1.0)),
             AgeProfile(grid50, grid50.nodes.astype(float)),
         )
-        report = par.assumption
-        # mu*omega - omega' = 0.3 z - 1 >= 5 on [20, 70]
+        report = budget_assumption(par, grid50.dz)
+        # at dt = dz = 1, mu*wt - wt' = (0.3 z - 1) / 1.3 >= 5 / 1.3 on [20, 70)
         assert report.holds is True
+        assert report.worst_age == 21.0
+        assert report.worst_margin == pytest.approx(5.3 / 1.3, rel=1e-13)
 
     def test_exponential_cost_growth_rate_decides(self, grid50):
         mu = constant_profile(grid50, 0.3)
         gam = normalize_distribution(constant_profile(grid50, 1.0))
-        # cost growing at 10%/year: omega'/omega = 0.1 < mu -> holds
+        # at dt = dz = 1 the row holds where omega_{j+1} / omega_j <= 1 + mu = 1.3
+        # cost growing at 10%/year: e^0.1 < 1.3 -> holds
         omega = AgeProfile(grid50, np.exp(grid50.nodes / 10.0))
-        slow = BudgetParams.build(mu, gam, omega).assumption
+        slow = budget_assumption(BudgetParams.build(mu, gam, omega), grid50.dz)
         assert slow.holds is True
-        # cost growing at 100%/year: omega'/omega = 1 > mu -> violated
+        # cost growing at 100%/year: e > 1.3 -> violated
         omega = AgeProfile(grid50, np.exp(grid50.nodes - 20.0))
-        fast = BudgetParams.build(mu, gam, omega).assumption
+        fast = budget_assumption(BudgetParams.build(mu, gam, omega), grid50.dz)
         assert fast.holds is False
         assert fast.worst_margin < 0.0
         assert 20.0 <= fast.worst_age <= 70.0
@@ -151,13 +159,13 @@ class TestStepBudget:
     def test_stationary_base_exact_fixed_point(self, grid50):
         par = interior_hiring_params(grid50)
         base = swp.steady_shape(par.mu, par.gamma)
-        out = one_step(par, base, default_budget_dt(par)).final
+        out = one_step(par, base, grid50.dz).final
         np.testing.assert_allclose(out.values, base.values, rtol=1e-12, atol=1e-15)
 
     def test_cfl_violation_rejected(self, grid50):
         par = flat_params(grid50)
         with pytest.raises(StepSizeError):
-            one_step(par, constant_profile(grid50, 10.0), 0.95)  # bound: 1 - 0.1 dt - dt >= 0 -> dt <= 1/1.1
+            one_step(par, constant_profile(grid50, 10.0), 1.05)  # bound: dt <= dz = 1
 
     def test_negative_density_rejected(self, grid50):
         rho = constant_profile(grid50, 10.0)
@@ -168,8 +176,7 @@ class TestStepBudget:
     def test_cfl_bound_is_sharp(self, grid50, call):
         par = flat_params(grid50)
         rho = constant_profile(grid50, 10.0)
-        bound = max_stable_dt(grid50, par.mu_max)
-        assert bound == 1.0 / 1.1
+        bound = grid50.dz  # attrition is implicit: the bound is dz, whatever mu
 
         def run(dt):
             if call == "one_step":
@@ -189,20 +196,105 @@ class TestStepBudget:
         rho = rng.uniform(0.0, 50.0, g.n + 1)
         rho[0] = 0.0
         before = budget_total(AgeProfile(g, rho), par)
-        after = budget_total(one_step(par, AgeProfile(g, rho), default_budget_dt(par)).final, par)
+        after = budget_total(one_step(par, AgeProfile(g, rho), g.dz).final, par)
         assert after == pytest.approx(before, rel=1e-12)
 
     def test_positivity_under_assumption(self, grid50):
         rng = np.random.default_rng(5)
         par = interior_hiring_params(grid50)
-        assert par.assumption.holds
+        dt = grid50.dz
+        assert budget_assumption(par, dt).holds
         rho = rng.uniform(0.0, 30.0, grid50.n + 1)
         rho[0] = 0.0
-        dt = default_budget_dt(par)
         res = simulate_budget(par, AgeProfile(grid50, rho), dt=dt, t_end=30 * dt)
         assert len(res.snapshots) == 31
         for snap in res.snapshots:
             assert np.all(snap.values >= 0.0)
+
+
+def random_budget_params(seed, dz=0.5, hold=True):
+    """Random attrition, hiring and cost; with ``hold`` the hiring row is >= 0 at every dt <= dz.
+
+    The row holds at dt where wt_j (1 + mu_j dz) >= wt_{j+1}, which is
+    omega_j (1 + mu_j dz) >= omega_{j+1} at dt = 0 and
+    omega_j (1 + mu_{j+1} dz) >= omega_{j+1} at dt = dz, and lies between the
+    two in between; cost growth per cell under both bounds keeps it at all dt.
+    """
+    rng = np.random.default_rng(seed)
+    g = build_grid(20.0, 70.0, dz)
+    mu = rng.uniform(0.02, 0.3, g.n + 1)
+    gam = rng.uniform(0.0, 1.0, g.n + 1)
+    room = np.log1p(np.minimum(mu[:-1], mu[1:]) * dz)
+    growth = rng.uniform(0.0, 1.0, g.n) * room if hold else rng.uniform(-0.05, 0.3, g.n)
+    omega = 1000.0 * np.exp(np.concatenate(([0.0], np.cumsum(growth))))
+    return BudgetParams.build(
+        AgeProfile(g, mu), normalize_distribution(AgeProfile(g, gam)), AgeProfile(g, omega)
+    )
+
+
+class TestBudgetRateOfTheSharedUpdate:
+    """The budget-conserving rate under the semi-implicit update both models step."""
+
+    @pytest.mark.parametrize("lam", [0.5, 0.9, 1.0])
+    def test_scaled_base_is_a_fixed_point(self, lam):
+        par = random_budget_params(seed=21)
+        base = swp.steady_shape(par.mu, par.gamma)
+        m = 2.75
+        target = m * base.values
+        dt = lam * par.grid.dz
+        res = simulate_budget(par, base.with_values(target), dt=dt, t_end=20 * dt, snapshot_every=dt)
+        assert len(res.snapshots) == 21
+        for snap in res.snapshots:
+            # elementwise relative 1e-13; the zeros below the first hiring age stay exact
+            assert np.all(np.abs(snap.values - target) <= 1e-13 * np.abs(target))
+        np.testing.assert_allclose(res.hiring, m, rtol=1e-13)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_nonnegative_row_keeps_a_nonnegative_start_nonnegative(self, lam):
+        rng = np.random.default_rng(8)
+        for seed in range(5):
+            par = random_budget_params(seed=100 + seed)
+            dt = lam * par.grid.dz
+            assert budget_assumption(par, dt).holds
+            rho0 = AgeProfile(par.grid, rng.uniform(0.0, 50.0, par.grid.n + 1))
+            res = simulate_budget(par, rho0, dt=dt, t_end=200 * dt, snapshot_every=dt)
+            assert len(res.snapshots) == 201
+            assert np.all(res.hiring >= 0.0)
+            for snap in res.snapshots:
+                assert np.all(snap.values >= 0.0)
+
+    @pytest.mark.parametrize("name", ["bu-a-budget", "bu-b-budget"])
+    def test_terms_sum_to_hiring_exactly(self, scenarios_dir, name):
+        sc = swp.load_scenario(scenarios_dir / f"{name}.json")
+        res = simulate_budget(sc.budget_params(), sc.rho0, dt=sc.dt, t_end=sc.t_end)
+        parts = res.hiring_parts
+        assert np.array_equal(res.hiring, parts["attrition"] + parts["retirement"] + parts["aging"])
+
+    def test_row_at_unit_courant_number_is_the_discrete_condition(self):
+        # at dt = dz the row is >= 0 on nodes 1..n exactly when
+        # omega_j (1 + mu_{j+1} dz) >= omega_{j+1} for j = 1..n-1
+        verdicts = set()
+        for seed in range(20):
+            par = random_budget_params(seed=seed, hold=seed % 2 == 0)
+            w, mu, dz = par.omega.values, par.mu.values, par.grid.dz
+            ratio = w[1:-1] * (1.0 + mu[2:] * dz) / w[2:]
+            report = budget_assumption(par, dz)
+            assert report.holds == bool(np.all(ratio >= 1.0))
+            if not report.holds:
+                assert ratio[round((report.worst_age - 20.0) / dz) - 1] < 1.0
+            verdicts.add(report.holds)
+        assert verdicts == {True, False}
+
+    def test_margin_tends_to_the_continuous_one(self, grid50):
+        # mu*wt - wt' -> mu*omega - omega' as dt -> 0, in the same unit
+        par = BudgetParams.build(
+            constant_profile(grid50, 0.3),
+            normalize_distribution(constant_profile(grid50, 1.0)),
+            AgeProfile(grid50, grid50.nodes.astype(float)),
+        )
+        report = budget_assumption(par, 1e-9)
+        assert report.worst_age == 21.0
+        assert report.worst_margin == pytest.approx(0.3 * 21.0 - 1.0, rel=1e-8)
 
 
 class TestStationaryFamily:
@@ -250,7 +342,7 @@ class TestRelativeEntropy:
 
     def test_monotone_along_trajectory(self, grid50):
         par = interior_hiring_params(grid50)
-        assert par.assumption.holds
+        assert budget_assumption(par, grid50.dz).holds
         rho0 = interpolate_profile(grid50, [20, 25, 30, 70], [0.0, 40.0, 5.0, 5.0])
         res = simulate_budget(par, rho0, t_end=80.0)
         H = res.entropy
@@ -273,11 +365,10 @@ class TestSimulateBudget:
         np.testing.assert_allclose(total, res.hiring, rtol=1e-9, atol=1e-12)
 
     def test_default_dt_satisfies_cfl(self, grid50):
+        # the default step is the bound itself, dt = dz
         par = interior_hiring_params(grid50)
-        dt = default_budget_dt(par)
-        mu_max = float(par.mu.values.max())
-        assert 1.0 - mu_max * dt - dt / grid50.dz >= 0.0
-        assert dt == pytest.approx(0.9 * grid50.dz / (1.0 + grid50.dz * mu_max), rel=1e-12)
+        res = simulate_budget(par, constant_profile(grid50, 10.0), t_end=5.0)
+        assert res.times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_non_finite_series_rejected_after_the_run(self, scenarios_dir):
         # w * rho^2 overflows for rho = 1e155, so every entropy value is inf

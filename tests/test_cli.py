@@ -106,8 +106,8 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert "model = budget" in out
-        assert "steps = 500, dt = 0.4, t_end = 200" in out
-        assert "budget drift: 1.334e-14 relative" in out
+        assert "steps = 400, dt = 0.5, t_end = 200" in out
+        assert "budget drift: 3.131e-14 relative" in out
         assert "entropy monotone: yes" in out
         assert (tmp_path / "budget.csv").is_file()
         assert (tmp_path / "entropy.csv").is_file()
@@ -122,8 +122,9 @@ class TestSimulateCommand:
             "--out", str(tmp_path),
         )
         assert code == 0
-        assert "steps = 523, dt = 0.382979, t_end = 200.298" in out
-        assert "steady state reached at t = 199.149 (tol 0.001 relative L1)" in out
+        assert "steps = 400, dt = 0.5, t_end = 200" in out
+        # still 3e-3 of its size from its attractor at the horizon
+        assert "no steady state within the horizon (tol 0.001 relative L1)" in out
         drift = float(re.search(r"budget drift: ([0-9.e+-]+) relative", out).group(1))
         assert drift < 1e-9
 
@@ -357,9 +358,9 @@ class TestValidateCommand:
         assert code == 0
         assert err == ""
         assert "OK: scenario 'bu-a-budget' (model budget)" in out
-        assert "dt = 0.4, CFL margin = 0.1" in out
+        assert "dt = 0.5, CFL margin = 0" in out
         assert "initial headcount = 1000" in out
-        assert "budget positivity assumption holds (worst margin 116 at age 20)" in out
+        assert "budget positivity assumption holds (worst margin 120.178 at age 20.5)" in out
 
     def test_failing_positivity_assumption_warns_but_passes(self, capsys, tmp_path):
         doc = json.loads(json.dumps(BUDGET_DOC))
@@ -371,6 +372,30 @@ class TestValidateCommand:
         assert code == 0
         assert "warning: budget positivity assumption fails at age" in out
         assert "entropy diagnostics are observational" in out
+
+    def test_positivity_verdict_is_taken_at_the_dt_in_effect(self, capsys, tmp_path):
+        # heavy attrition up to age 44, light after, and a 30% cost step at
+        # 45: the row holds as dt -> 0 (1.3 <= 1 + mu_44 dz) but not at
+        # dt = dz (1.3 > 1 + mu_45 dz)
+        doc = json.loads(json.dumps(BUDGET_DOC))
+        doc["profiles"]["attrition"] = {"piecewise": [[20, 0.6], [44, 0.6], [45, 0.02], [70, 0.02]]}
+        doc["profiles"]["cost"] = {"piecewise": [[20, 30000], [44, 30000], [45, 39000], [70, 39000]]}
+        path = str(write_doc(tmp_path, doc))
+        code, out, _ = run(capsys, "validate", "--scenario", path)
+        assert code == 0
+        assert "note: budget positivity assumption fails at age 44 (margin " in out
+        assert " at dt = 1)" in out
+        assert "warning: budget positivity assumption fails at age 44" in out
+        code, out, _ = run(capsys, "simulate", "--scenario", path, "--out", str(tmp_path / "a"))
+        assert "entropy monotone: yes [observational: positivity assumption fails]" in out
+        doc["time"]["dt"] = 0.01
+        path = str(write_doc(tmp_path, doc, "small-step.json"))
+        code, out, _ = run(capsys, "validate", "--scenario", path)
+        assert code == 0
+        assert "positivity assumption fails" not in out
+        assert "budget positivity assumption holds" in out
+        code, out, _ = run(capsys, "simulate", "--scenario", path, "--out", str(tmp_path / "b"))
+        assert "positivity assumption fails" not in out
 
     def test_quiet_suppresses_output(self, capsys, scenarios_dir):
         code, out, _ = run(

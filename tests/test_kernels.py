@@ -1,13 +1,13 @@
 """The per-step kernels against the one-line expressions they replace.
 
-The references below are the update expressions, hiring terms, budget total
-and masked entropy as written before the kernels wrote into preallocated
-buffers.  The two update kernels must round every value as their references
-do, so those comparisons are on the int64 bit patterns, and so is a whole
-run against a plain loop over the reference updates.  The per-step sums
-are one matrix-vector product and one dot, which reassociate the reference
-sums; they, and whole budget runs built on them, are held to a relative
-1e-13 instead (``close``).
+The references below are the update expression, the budget model's hiring
+terms and budget total, and the masked entropy, written as plain nodal
+sums.  The one update kernel both models step with must round every value
+as its reference does, so those comparisons are on the int64 bit patterns,
+and so is a whole run against a plain loop over the reference update.  The
+per-step sums are one matrix-vector product and one dot, which reassociate
+the reference sums; they, and whole budget runs built on them, are held to
+a relative 1e-13 instead (``close``).
 """
 
 import itertools
@@ -22,15 +22,15 @@ from swp import (
     SaturatingParams,
     build_grid,
     constant_profile,
-    default_budget_dt,
     normalize_distribution,
     simulate_budget,
     simulate_saturating,
     stationary_family,
+    steady_shape,
 )
 from swp import budget, load_scenario, saturating
 from swp.numerics import hire_source
-from swp.results import march
+from swp.results import _stepper, march
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SIZES = (50, 500, 5000)
@@ -38,26 +38,22 @@ RATES = (37.25, 0.0, -4.5)
 REL = 1e-13
 
 
-def reference_budget_update(params, dt):
-    dz = params.grid.dz
-    survive = 1.0 - params.mu.values[1:] * dt
-    gamma1 = hire_source(params.gamma.values)
-    return lambda rho, h: rho[1:] * survive + dt * (h * gamma1 - (rho[1:] - rho[:-1]) / dz)
-
-
-def reference_saturating_update(params, dt):
+def reference_update(params, dt):
     lam = dt / params.grid.dz
     gamma1 = hire_source(params.gamma.values)
     mu_fac = 1.0 + params.mu.values[1:] * dt
-    return lambda rho, a: (rho[1:] - lam * (rho[1:] - rho[:-1]) + dt * a * gamma1) / mu_fac
+    return lambda rho, h: (rho[1:] - lam * (rho[1:] - rho[:-1]) + dt * h * gamma1) / mu_fac
 
 
-def reference_hiring_terms(params, rho):
-    w = params.omega.values
-    dz, denom = params.grid.dz, params.hire_cost
-    attrition = float((params.mu.values[1:] * w[1:] * rho[1:]).sum() * dz) / denom
-    retirement = float(w[-1] * rho[-1]) / denom
-    aging = -float((params.omega_prime[1:-1] * rho[1:-1]).sum() * dz) / denom
+def reference_hiring_terms(params, dt, rho):
+    """The budget-conserving terms at step dt, with wt = omega / (1 + mu dt) and K."""
+    w, mu, dz = params.omega.values, params.mu.values, params.grid.dz
+    wt = w / (1.0 + mu * dt)
+    wt_prime = (wt[1:] - wt[:-1]) / dz
+    denom = float((wt[1:] * hire_source(params.gamma.values)).sum() * dz)
+    attrition = float((mu[1:] * wt[1:] * rho[1:]).sum() * dz) / denom
+    retirement = float(wt[-1] * rho[-1]) / denom
+    aging = -float((wt_prime[1:] * rho[1:-1]).sum() * dz) / denom
     total = float((w[1:] * rho[1:]).sum() * dz)
     return attrition, retirement, aging, total
 
@@ -104,10 +100,11 @@ def random_state(rng, n):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("h", RATES)
 def test_budget_update_matches_expression(n, h):
-    rng, _, mu, gamma, omega = random_profiles(n, seed=n)
+    # the update a budget run steps with, at dt = 0.9 dz, the fine-grid bench's step
+    rng, g, mu, gamma, omega = random_profiles(n, seed=n)
     par = BudgetParams.build(mu, gamma, omega)
-    dt = default_budget_dt(par)
-    update, reference = budget._stepper(par, dt), reference_budget_update(par, dt)
+    dt = 0.9 * g.dz
+    update, reference = _stepper(par.mu, par.gamma, dt), reference_update(par, dt)
     out = np.empty(n)
     for _ in range(3):  # the scratch array is reused across calls
         rho = random_state(rng, n)
@@ -120,7 +117,7 @@ def test_budget_update_matches_expression(n, h):
 def test_saturating_update_matches_expression(n, a):
     rng, g, mu, gamma, _ = random_profiles(n, seed=n + 1)
     par = SaturatingParams.build(2.4e-5, mu, gamma)
-    update, reference = saturating._stepper(par, g.dz), reference_saturating_update(par, g.dz)
+    update, reference = _stepper(par.mu, par.gamma, g.dz), reference_update(par, g.dz)
     out = np.empty(n)
     for _ in range(3):
         rho = random_state(rng, n)
@@ -128,35 +125,37 @@ def test_saturating_update_matches_expression(n, a):
         assert np.array_equal(bits(out), bits(reference(rho, a)))
 
 
-def sums_without_entropy(par, rho):
+def sums_without_entropy(par, dt, rho):
     """(headcount, attrition, retirement, aging, budget total) of the fused functional."""
-    P, attrition, retirement, aging, total, _ = budget._reductions(par)(rho)
+    base = steady_shape(par.mu, par.gamma)
+    P, attrition, retirement, aging, total, _ = budget._reductions(par, dt, base)(rho)
     return P, attrition, retirement, aging, total
 
 
-def reference_sums(par, rho):
-    return reference_headcount(par, rho), *reference_hiring_terms(par, rho)
+def reference_sums(par, dt, rho):
+    return reference_headcount(par, rho), *reference_hiring_terms(par, dt, rho)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_hiring_terms_and_budget_total_match_expressions(n):
-    rng, _, mu, gamma, omega = random_profiles(n, seed=n + 2)
+    rng, g, mu, gamma, omega = random_profiles(n, seed=n + 2)
     par = BudgetParams.build(mu, gamma, omega)
-    sums = budget._reductions(par)
-    for _ in range(3):  # the output and scratch arrays are reused across calls
-        rho = random_state(rng, n)
-        assert close(sums(rho)[:5], reference_sums(par, rho))
+    for dt in (0.5 * g.dz, g.dz):
+        sums = budget._reductions(par, dt, steady_shape(mu, gamma))
+        for _ in range(3):  # the output and scratch arrays are reused across calls
+            rho = random_state(rng, n)
+            assert close(sums(rho)[:5], reference_sums(par, dt, rho))
 
 
 def test_hiring_terms_and_budget_total_on_exact_zeros():
-    _, _, mu, gamma, omega = random_profiles(50, seed=14)
+    _, g, mu, gamma, omega = random_profiles(50, seed=14)
     par = BudgetParams.build(mu, gamma, omega)
-    assert sums_without_entropy(par, np.zeros(51)) == (0.0,) * 5
+    assert sums_without_entropy(par, g.dz, np.zeros(51)) == (0.0,) * 5
     rho = np.zeros(51)
     rho[-1] = 3.0  # only the retirement node is staffed: aging and the headcount stay 0
-    got = sums_without_entropy(par, rho)
+    got = sums_without_entropy(par, g.dz, rho)
     assert got[0] == 0.0 and got[3] == 0.0
-    assert close(got, reference_sums(par, rho))
+    assert close(got, reference_sums(par, g.dz, rho))
 
 
 def roadmap_support_case():
@@ -168,7 +167,7 @@ def roadmap_support_case():
 
 
 def entropy_of(par, base):
-    sums = budget._reductions(par, base)
+    sums = budget._reductions(par, par.grid.dz, base)
     return lambda rho: sums(rho)[-1]
 
 
@@ -204,7 +203,7 @@ def test_entropy_matches_masked_expression_on_a_partial_support():
     entropy = entropy_of(par, base)
     for rho in (np.ones(n + 1), *(random_state(rng, n) for _ in range(10))):
         assert close(entropy(rho), reference_entropy(par, base, rho))
-        assert close(sums_without_entropy(par, rho), reference_sums(par, rho))
+        assert close(sums_without_entropy(par, 0.5, rho), reference_sums(par, 0.5, rho))
 
 
 def test_entropy_ignores_mass_off_the_support():
@@ -219,11 +218,11 @@ def reference_simulate_budget(par, rho0, dt, t_end, snapshot_every):
     rows = []
 
     def rate(rho):
-        attrition, retirement, aging, total = reference_hiring_terms(par, rho)
+        attrition, retirement, aging, total = reference_hiring_terms(par, dt, rho)
         rows.append((total, reference_entropy(par, base, rho), attrition, retirement, aging))
         return reference_headcount(par, rho), attrition + retirement + aging
 
-    res = march("budget", rho0, dt, t_end, snapshot_every, par.mu_max, rate, budget._stepper(par, dt))
+    res = march("budget", rho0, dt, t_end, snapshot_every, par.mu, par.gamma, rate)
     return res, np.array(rows).T
 
 
@@ -262,14 +261,14 @@ def test_advance_pins_the_entry_node_and_writes_out():
     # pins node 0 to 0 first and steps the pinned state
     rng, g, mu, gamma, omega = random_profiles(50, seed=11)
     par = BudgetParams.build(mu, gamma, omega)
-    dt = default_budget_dt(par)
+    dt = g.dz
     rho = random_state(rng, 50)
     rho[0] = 5.0
     res = simulate_budget(par, AgeProfile(g, rho), dt=dt, t_end=dt)
     first, out = res.snapshots[0].values, res.final.values
     assert first[0] == out[0] == 0.0
     assert np.array_equal(first[1:], rho[1:])
-    assert np.array_equal(bits(out[1:]), bits(reference_budget_update(par, dt)(first, res.hiring[0])))
+    assert np.array_equal(bits(out[1:]), bits(reference_update(par, dt)(first, res.hiring[0])))
 
 
 def plain_loop(sc, dt, n_steps):
@@ -282,18 +281,18 @@ def plain_loop(sc, dt, n_steps):
     rho[0] = 0.0
     if sc.model == "budget":
         par = sc.budget_params()
-        sums, step = budget._reductions(par), reference_budget_update(par, dt)
+        sums = budget._reductions(par, dt, steady_shape(par.mu, par.gamma))
 
         def rate(rho):
             P, attrition, retirement, aging, _, _ = sums(rho)
             return P, attrition + retirement + aging
     else:
         par = sc.saturating_params()
-        step = reference_saturating_update(par, dt)
 
         def rate(rho):
             P = float(rho[:-1].sum() * par.grid.dz)
             return P, saturating.hiring_response(par, P)
+    step = reference_update(par, dt)
     rows = []
     for _ in range(n_steps + 1):
         P, h = rate(rho)
@@ -322,9 +321,10 @@ def test_snapshots_of_a_run_share_no_memory(model):
     rng, g, mu, gamma, omega = random_profiles(50, seed=12)
     rho0 = AgeProfile(g, random_state(rng, 50))
     if model == "budget":
-        par = BudgetParams.build(mu, gamma, omega)
-        dt = default_budget_dt(par)
-        res = simulate_budget(par, rho0, dt=dt, t_end=12 * dt, snapshot_every=dt)
+        dt = g.dz
+        res = simulate_budget(
+            BudgetParams.build(mu, gamma, omega), rho0, dt=dt, t_end=12 * dt, snapshot_every=dt
+        )
     else:
         dt = g.dz
         res = simulate_saturating(

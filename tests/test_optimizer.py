@@ -17,13 +17,12 @@ from swp import (
     interpolate_profile,
     optimal_hiring_age,
     optimal_structure,
-    optimize,
     optimizer_curves,
     policy_savings,
     stationary_mixture,
     has_tied_minimum,
 )
-from swp import budget, saturating
+from swp.results import _stepper
 
 
 def curves_flat_wage(dz=0.25, w0=40000.0):
@@ -232,10 +231,18 @@ class TestStationaryMixture:
             assert cost >= pol.cost * (1.0 - 1e-9)
 
 
+def optimize(sc):
+    """The optimal policy of an optimize scenario: curves, then argmin, then structure."""
+    curves = optimizer_curves(sc.omega, sc.mu)
+    return optimal_structure(
+        curves, optimal_hiring_age(curves), KnowledgeConstraint(sc.experience_total)
+    )
+
+
 class TestOptimizePipeline:
     def test_interior_minimum_scenario(self, scenarios_dir):
         sc = swp.load_scenario(scenarios_dir / "bu-3-optimize.json")
-        pol = optimize(sc.omega, sc.mu, KnowledgeConstraint(sc.experience_total))
+        pol = optimize(sc)
         assert pol.z0 == 53.5
         assert pol.case is PolicyCase.INTERNAL_CAREERS
         assert pol.cost == pytest.approx(15379845.683472833, rel=1e-9)
@@ -244,7 +251,7 @@ class TestOptimizePipeline:
         sc = swp.load_scenario(scenarios_dir / "bu-1-optimize.json")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            pol = optimize(sc.omega, sc.mu, KnowledgeConstraint(sc.experience_total))
+            pol = optimize(sc)
         assert pol.z0 == 70.0
         assert pol.case is PolicyCase.EXPERT_POOL
 
@@ -252,26 +259,25 @@ class TestOptimizePipeline:
 @pytest.mark.parametrize("name", ["bu-2-optimize.json", "bu-3-optimize.json"])
 @pytest.mark.parametrize("model", ["saturating", "budget"])
 def test_rho_star_is_a_fixed_point_of_the_scheme(scenarios_dir, name, model):
-    # one step of the scheme's update, hiring at rate b at z0 only, leaves
-    # rho_star in place (entry node 0); bu-2 hires at the entry age, bu-3 at
-    # an interior one
+    # one step of the scheme, hiring at z0 only, leaves rho_star in place
+    # (entry node 0): at rate b under the update, and at the budget model's
+    # own rate in a budget run, which conserves the wage bill of rho_star;
+    # bu-2 hires at the entry age, bu-3 at an interior one
     sc = swp.load_scenario(scenarios_dir / name)
-    curves = optimizer_curves(sc.omega, sc.mu)
-    pol = optimal_structure(
-        curves, optimal_hiring_age(curves), KnowledgeConstraint(sc.experience_total)
-    )
+    pol = optimize(sc)
     g = sc.grid
     hire = np.zeros(g.n + 1)
     hire[round((pol.z0 - g.z_min) / g.dz)] = 1.0 / g.dz
     hire = AgeProfile(g, hire)
+    rho = pol.rho_star.values
     if model == "saturating":
-        update = saturating._stepper(swp.SaturatingParams.build(1.0, sc.mu, hire), g.dz)
+        out = np.zeros_like(rho)
+        _stepper(sc.mu, hire, g.dz)(rho, pol.intake, out[1:])
     else:
         par = swp.BudgetParams.build(sc.mu, hire, sc.omega)
-        update = budget._stepper(par, swp.default_budget_dt(par))
-    rho = pol.rho_star.values
-    out = np.zeros_like(rho)
-    update(rho, pol.intake, out[1:])
+        res = swp.simulate_budget(par, pol.rho_star, dt=g.dz, t_end=g.dz)
+        assert res.hiring[0] == pytest.approx(pol.intake, rel=1e-12)
+        out = res.final.values
     moved = np.abs(out - rho).sum()
     assert moved <= 1e-12 * np.abs(rho).sum()
 

@@ -111,3 +111,41 @@ def test_non_finite_values_rejected(tmp_path):
     ys = np.array([1.0, np.nan])
     with pytest.raises(ValidationError):
         render_line_chart(tmp_path / "n.svg", "t", [("s", xs, ys)])
+
+
+def test_simulate_lays_out_each_chart_once(tmp_path, monkeypatch, scenarios_dir):
+    from swp import plots
+    from swp.cli import main
+
+    calls = []
+    layout = plots._layout
+
+    def counting(series):
+        calls.append([label for label, _, _ in series])
+        return layout(series)
+
+    monkeypatch.setattr(plots, "_layout", counting)
+    argv = ["simulate", "--scenario", str(scenarios_dir / "bu-a-saturating.json"),
+            "--out", str(tmp_path), "--quiet"]
+    assert main(argv) == 0
+    assert calls == [["P(t)"], ["initial", "final"]]
+
+
+def test_charts_from_checked_layouts_match_render_line_chart(tmp_path, scenarios_dir):
+    from swp import load_scenario, simulate_budget
+    from swp.plots import _check_charts, _simulation_series, age_structure_plot, headcount_plot
+
+    sc = load_scenario(scenarios_dir / "bu-a-budget.json")
+    result = simulate_budget(sc.budget_params(), sc.rho0, t_end=20.0)
+    head, ages = _check_charts(result)
+    head_series, age_series = _simulation_series(result)
+    pairs = [
+        (headcount_plot(head, tmp_path / "h.svg"),
+         render_line_chart(tmp_path / "h0.svg", "Headcount", head_series,
+                           x_label="time (years)", y_label="employees")),
+        (age_structure_plot(ages, tmp_path / "a.svg"),
+         render_line_chart(tmp_path / "a0.svg", "Age structure", age_series,
+                           x_label="age (years)", y_label="density")),
+    ]
+    for got, want in pairs:
+        assert got.read_bytes() == want.read_bytes()

@@ -23,7 +23,7 @@ from swp import (
     recruitment_index,
     simulate_saturating,
 )
-from swp.results import max_stable_dt, step_count
+from swp.results import step_count
 
 CLOSED_FORM_BETA = (1.0 - np.exp(-5.0)) / 0.1  # entry-age hiring, mu = 0.1, span 50
 
@@ -240,8 +240,7 @@ class TestStepSaturating:
     def test_cfl_bound_is_sharp(self, grid50, call):
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
         rho = constant_profile(grid50, 10.0)
-        bound = max_stable_dt(grid50, 0.0)  # attrition is implicit: the bound is dz
-        assert bound == grid50.dz
+        bound = grid50.dz  # attrition is implicit: the bound is dz
 
         def run(dt):
             if call == "one_step":
