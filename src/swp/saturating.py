@@ -48,12 +48,6 @@ from .numerics import (
 )
 from .results import SimulationResult, march, require_finite
 
-# Exponential attrition decay is contractive on windows of length span when
-# beta stays below this bound; larger beta still converges in practice but
-# is flagged as outside the certified window.
-TECHNICAL_WINDOW = (1.0, 9.0)
-
-
 class Regime(enum.Enum):
     """Long-run regimes of the saturating model."""
 
@@ -142,7 +136,6 @@ class EquilibriumReport:
     p_eq: float
     rho_eq: AgeProfile
     regime: Regime
-    technical_window: bool
 
 
 def equilibria(params: SaturatingParams) -> EquilibriumReport:
@@ -154,18 +147,14 @@ def equilibria(params: SaturatingParams) -> EquilibriumReport:
     fixed point of the scheme.
     """
     beta = recruitment_index(params.mu, params.gamma)
-    lo, hi = TECHNICAL_WINDOW
-    window = lo < beta < hi
     shape = steady_shape(params.mu, params.gamma)
     beta_h = integrate(shape)
     if beta_h <= 1.0:
         zero = AgeProfile(params.grid, np.zeros(params.grid.n + 1))
-        return EquilibriumReport(
-            beta, beta_h, params.alpha, 0.0, zero, Regime.EXTINCTION_ONLY, window
-        )
+        return EquilibriumReport(beta, beta_h, params.alpha, 0.0, zero, Regime.EXTINCTION_ONLY)
     p_eq = math.sqrt((beta_h - 1.0) / params.alpha)
     rho_eq = shape.with_values(shape.values * (p_eq / beta_h))
-    return EquilibriumReport(beta, beta_h, params.alpha, p_eq, rho_eq, Regime.BISTABLE, window)
+    return EquilibriumReport(beta, beta_h, params.alpha, p_eq, rho_eq, Regime.BISTABLE)
 
 
 def hiring_response(params: SaturatingParams, headcount: float) -> float:

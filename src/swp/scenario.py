@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .budget import BudgetParams, budget_assumption
+from .budget import BudgetParams
 from .errors import ValidationError
 from .numerics import (
     AgeGrid,
@@ -36,7 +36,7 @@ from .numerics import (
     steady_shape,
 )
 from .results import check_dt
-from .saturating import TECHNICAL_WINDOW, SaturatingParams, calibrate_alpha, recruitment_index
+from .saturating import SaturatingParams, calibrate_alpha, recruitment_index
 
 MODELS = ("saturating", "budget", "optimize")
 
@@ -78,7 +78,6 @@ class Scenario:
     snapshot_every: float | None
     beta: float | None
     notices: tuple[str, ...]
-    source: str | None = None
     # model parameters, built (and validated) once by the loader
     params: SaturatingParams | BudgetParams | None = field(default=None, repr=False, compare=False)
 
@@ -108,15 +107,15 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ValidationError(f"not valid JSON ({exc})", code="bad-json", path=str(path)) from None
     if not isinstance(doc, dict):
         raise ValidationError("top level must be an object", code="bad-json", path=str(path))
-    return _build_scenario(doc, base_dir=path.parent, source=str(path))
+    return _build_scenario(doc, base_dir=path.parent)
 
 
 def scenario_from_dict(doc: dict, base_dir: str | Path = ".") -> Scenario:
     """Validate an in-memory scenario document (same rules as a file)."""
-    return _build_scenario(doc, base_dir=Path(base_dir), source=None)
+    return _build_scenario(doc, base_dir=Path(base_dir))
 
 
-def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
+def _build_scenario(doc: dict, base_dir: Path) -> Scenario:
     notices: list[str] = []
 
     _reject_unknown(doc, "$")
@@ -204,12 +203,6 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
                 f"calibrated alpha = {alpha:.12g} from beta_h = {beta_h:.12g} "
                 f"for P_eq = {target:g}"
             )
-        lo, hi = TECHNICAL_WINDOW
-        if not (lo < beta < hi):
-            notices.append(
-                f"beta = {beta:.6g} outside the technical window ({lo:g}, {hi:g}); "
-                "convergence diagnostics are observational"
-            )
         # Constructing the params re-runs the model-level validation.
         params = SaturatingParams.build(alpha, mu, gamma)
 
@@ -233,15 +226,6 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
 
     if dt is not None and params is not None:
         check_dt(dt, grid)
-    if model == "budget":
-        # the verdict depends on the step: name the one it was taken at
-        step = dt if dt is not None else grid.dz
-        rep = budget_assumption(params, step)
-        if not rep.holds:
-            notices.append(
-                f"budget positivity assumption fails at age {rep.worst_age:g} "
-                f"(margin {rep.worst_margin:.4g} at dt = {step:g})"
-            )
 
     return Scenario(
         name=name,
@@ -259,7 +243,6 @@ def _build_scenario(doc: dict, base_dir: Path, source: str | None) -> Scenario:
         snapshot_every=snapshot_every,
         beta=beta,
         notices=tuple(notices),
-        source=source,
         params=params,
     )
 

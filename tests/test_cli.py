@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import swp.budget
 import swp.cli
+import swp.scenario
 from swp.cli import main
 from test_golden import RECORD, regenerate
 
@@ -61,7 +63,6 @@ class TestEquilibriumCommand:
         assert "beta_h = 24.9967" in out
         assert "alpha = 2.39967e-05" in out
         assert "P_eq = 1000, regime = Bistable" in out
-        assert "technical_window=false" in out
         assert (tmp_path / "rho_eq.csv").is_file()
         assert (tmp_path / "rho_eq.svg").is_file()
 
@@ -373,7 +374,7 @@ class TestValidateCommand:
         assert "warning: budget positivity assumption fails at age" in out
         assert "entropy diagnostics are observational" in out
 
-    def test_positivity_verdict_is_taken_at_the_dt_in_effect(self, capsys, tmp_path):
+    def test_positivity_verdict_is_taken_at_the_dt_in_effect(self, capsys, tmp_path, monkeypatch):
         # heavy attrition up to age 44, light after, and a 30% cost step at
         # 45: the row holds as dt -> 0 (1.3 <= 1 + mu_44 dz) but not at
         # dt = dz (1.3 > 1 + mu_45 dz)
@@ -381,13 +382,25 @@ class TestValidateCommand:
         doc["profiles"]["attrition"] = {"piecewise": [[20, 0.6], [44, 0.6], [45, 0.02], [70, 0.02]]}
         doc["profiles"]["cost"] = {"piecewise": [[20, 30000], [44, 30000], [45, 39000], [70, 39000]]}
         path = str(write_doc(tmp_path, doc))
+        # each command computes and states the verdict once, wherever it is looked up
+        calls = []
+        verdict = swp.budget.budget_assumption
+        counted = lambda *a: calls.append(a) or verdict(*a)
+        for module in (swp.scenario, swp.cli, swp.budget):
+            monkeypatch.setattr(module, "budget_assumption", counted, raising=False)
         code, out, _ = run(capsys, "validate", "--scenario", path)
         assert code == 0
-        assert "note: budget positivity assumption fails at age 44 (margin " in out
-        assert " at dt = 1)" in out
-        assert "warning: budget positivity assumption fails at age 44" in out
+        assert out.count("positivity assumption fails") == 1
+        assert "warning: budget positivity assumption fails at age 44 (margin " in out
+        assert " at dt = 1); entropy diagnostics are observational" in out
+        assert len(calls) == 1
+        calls.clear()
         code, out, _ = run(capsys, "simulate", "--scenario", path, "--out", str(tmp_path / "a"))
-        assert "entropy monotone: yes [observational: positivity assumption fails]" in out
+        assert code == 0
+        assert out.count("positivity assumption fails") == 1
+        assert "note: budget positivity assumption fails at age 44 (margin " in out
+        assert "entropy monotone: yes\n" in out
+        assert len(calls) == 1
         doc["time"]["dt"] = 0.01
         path = str(write_doc(tmp_path, doc, "small-step.json"))
         code, out, _ = run(capsys, "validate", "--scenario", path)

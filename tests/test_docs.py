@@ -72,9 +72,10 @@ def test_readme_optimize_example_matches_cli(capsys, tmp_path):
 
 
 def test_schema_doc_example_loads():
-    example = fenced_blocks(SCHEMA_DOC.read_text(), "json")[0]
-    scenario = scenario_from_dict(json.loads(example))
-    assert (scenario.name, scenario.model, scenario.dt) == ("bu-a-budget", "budget", 0.4)
+    example = json.loads(fenced_blocks(SCHEMA_DOC.read_text(), "json")[0])
+    assert example == json.loads((SCENARIOS / "bu-a-budget.json").read_text())
+    scenario = scenario_from_dict(example)
+    assert (scenario.name, scenario.model, scenario.dt) == ("bu-a-budget", "budget", 0.5)
 
 
 def test_output_table_columns_match_written_headers(written_headers):

@@ -130,7 +130,6 @@ class TestEquilibria:
         report = equilibria(SaturatingParams.build(alpha, mu, gam))
         assert report.p_eq == 1000.0  # exact bit-level round trip
         assert report.regime is Regime.BISTABLE
-        assert report.technical_window is False  # beta > 9
 
     def test_short_interval_extinction(self):
         # hiring at entry, mu = 0.1, span 0.55: (1 - e^{-0.055})/0.1 < 1
@@ -162,15 +161,6 @@ class TestEquilibria:
         beta = recruitment_index(mu, gam)
         report = equilibria(SaturatingParams.build(calibrate_alpha(beta, 1000.0), mu, gam))
         assert swp.integrate(report.rho_eq) == pytest.approx(report.p_eq, rel=1e-6)
-
-    def test_technical_window_flag(self):
-        g = build_grid(20.0, 70.0, 0.25)
-        mu = constant_profile(g, 0.05)
-        gam = uniform_gamma(g, 66.0, 69.0)
-        beta = recruitment_index(mu, gam)
-        assert 1.0 < beta < 9.0
-        report = equilibria(SaturatingParams.build(calibrate_alpha(beta, 1000.0), mu, gam))
-        assert report.technical_window is True
 
 
 class TestSaturatingParams:
