@@ -53,7 +53,10 @@ from .numerics import (
     steady_shape,
     _same_grid,
 )
-from .results import SimulationResult, check_dt, march, require_finite
+from .results import SimulationResult, check_dt, march
+
+# What a budget run records per step, in the order its rate returns them.
+_SERIES = ("headcount", "hiring", "budget", "entropy", "attrition", "retirement", "aging")
 
 
 @dataclass(frozen=True)
@@ -216,44 +219,29 @@ def simulate_budget(
 ) -> SimulationResult:
     """Run the budget model from rho0 up to t_end.
 
-    dt defaults to dz.  Alongside headcount and the hiring decomposition, the
-    conserved budget and the relative entropy against the stationary family
-    of rho0 are recorded every step.  When :func:`budget_assumption` fails
-    at dt the entropy series is still recorded but flagged observational in
-    ``notes``.
+    dt defaults to dz.  Besides headcount and hiring, ``series`` records the
+    conserved budget, the relative entropy against the stationary family of
+    rho0 and the three terms of the hiring rate at every step.  When
+    :func:`budget_assumption` fails at dt the entropy series is still
+    recorded but flagged observational in ``notes``.
     """
     _same_grid(params.mu, rho0)
     if dt is None:
         dt = params.grid.dz
     check_dt(dt, params.grid)  # before the rate's weights, which assume a valid step
     sums = _reductions(params, dt, stationary_family(params, rho0).base)
-    rows: list[tuple[float, ...]] = []  # budget, entropy, attrition, retirement, aging
 
-    def rate(rho: np.ndarray) -> tuple[float, float]:
+    def rate(rho: np.ndarray) -> tuple[float, ...]:
         P, attrition, retirement, aging, total, entropy = sums(rho)
-        rows.append((total, entropy, attrition, retirement, aging))
-        return P, attrition + retirement + aging
+        return P, attrition + retirement + aging, total, entropy, attrition, retirement, aging
 
-    result = march("budget", rho0, dt, t_end, snapshot_every, params.mu, params.gamma, rate)
-    budget, entropy, *part_rows = np.array(rows).T
-    parts = dict(zip(("attrition", "retirement", "aging"), part_rows))
-    require_finite("budget", result.times, {
-        "headcount": result.headcount, "hiring": result.hiring, "budget": budget,
-        "entropy": entropy, **parts,
-    })
-
-    notes: list[str] = []
-    report = budget_assumption(params, dt)
-    if not report.holds:
-        notes.append(
-            f"budget positivity assumption fails at age {report.worst_age:g} "
-            f"(margin {report.worst_margin:.3g}); entropy diagnostic is observational"
-        )
-
-    return replace(
-        result,
-        budget=budget,
-        hiring_parts=parts,
-        entropy=entropy,
-        notes=tuple(notes),
+    result = march(
+        "budget", rho0, dt, t_end, snapshot_every, params.mu, params.gamma, rate, _SERIES
     )
+    report = budget_assumption(params, dt)
+    if report.holds:
+        return result
+    return replace(result, notes=(
+        f"budget positivity assumption fails at age {report.worst_age:g} "
+        f"(margin {report.worst_margin:.3g}); entropy diagnostic is observational",
+    ))

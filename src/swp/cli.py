@@ -16,7 +16,6 @@ import functools
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import SwpError, ValidationError
 from .numerics import AgeProfile, integrate
 from .optimizer import (
     KnowledgeConstraint,
+    PolicyCase,
     has_tied_minimum,
     optimal_hiring_age,
     optimal_structure,
@@ -188,22 +188,18 @@ def cmd_simulate(args) -> int:
     for note in result.notes:
         _emit(args, f"note: {note}")
 
-    # measure settling against the largest profile seen, so extinction runs
-    # (final size ~ 0) still report a finite settling time
-    peak = max(
-        float(np.abs(s.values[:-1]).sum() * s.grid.dz) for s in result.snapshots
-    )
-    t_star = detect_steady_state(result, tol=args.tol, scale=peak or None)
+    t_star = detect_steady_state(result, tol=args.tol)
     if t_star is None:
         _emit(args, f"no steady state within the horizon (tol {args.tol:g} relative L1)")
     else:
         _emit(args, f"steady state reached at t = {t_star:g} (tol {args.tol:g} relative L1)")
 
-    if result.budget is not None:
-        b0 = result.budget[0]
-        drift = float(np.max(np.abs(result.budget - b0)) / abs(b0)) if b0 != 0 else 0.0
+    if "budget" in result.series:
+        budget = result.series["budget"]
+        b0 = budget[0]
+        drift = float(np.max(np.abs(budget - b0)) / abs(b0)) if b0 != 0 else 0.0
         _emit(args, f"budget drift: {drift:.3e} relative")
-        H = result.entropy
+        H = result.series["entropy"]
         slack = 1e-8 * H[0]
         rises = np.nonzero(H[1:] - H[:-1] > slack)[0]
         verdict = "yes" if rises.size == 0 else f"no (first increase at step {rises[0] + 1})"
@@ -223,11 +219,10 @@ def cmd_optimize(args) -> int:
     curves = optimizer_curves(scenario.omega, scenario.mu)
     z0 = optimal_hiring_age(curves)
     tied = has_tied_minimum(curves)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        policy = optimal_structure(curves, z0, KnowledgeConstraint(scenario.experience_total))
-    for w in caught:
-        _emit(args, f"warning: {w.message}")
+    policy = optimal_structure(curves, z0, KnowledgeConstraint(scenario.experience_total))
+    if policy.case is PolicyCase.EXPERT_POOL:
+        _emit(args, "warning: optimal hiring age sits at the retirement age; "
+              "the structure degenerates to the last grid cell")
 
     tie_note = " (tie-break)" if tied else ""
     _emit(args, f"z0 = {policy.z0:g}{tie_note}, case = {policy.case.value}")

@@ -42,10 +42,6 @@ class AgeGrid:
         """Node ages z_j = z_min + j*dz, j = 0..n."""
         return self.z_min + self.dz * np.arange(self.n + 1)
 
-    @property
-    def span(self) -> float:
-        return self.z_max - self.z_min
-
 
 def build_grid(z_min: float, z_max: float, dz: float) -> AgeGrid:
     """Construct a uniform age grid, rejecting non-divisible spans."""

@@ -21,7 +21,7 @@ point for hiring at rate b, at total cost C = E * d(z0).
 from __future__ import annotations
 
 import enum
-import warnings
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +82,11 @@ def optimizer_curves(wage: AgeProfile, mu: AgeProfile) -> OptimizerCurves:
     # dz * sum_{j=i..n-1} w_j S_j / S_{i-1} at node i; node 0 takes node 1's
     # value, as hires at z_min enter the first cell
     i = np.maximum(np.arange(grid.n + 1), 1)
-    f = grid.dz * np.exp(_log_tail(wage.values[:-1], log_s)[i] - log_s[i - 1])
+    with np.errstate(over="ignore"):
+        f = grid.dz * np.exp(_log_tail(wage.values[:-1], log_s)[i] - log_s[i - 1])
+    if not np.isfinite(f).all():
+        z = grid.nodes[np.argmin(np.isfinite(f))]
+        raise ValidationError(f"wage bill of a cohort hired at age {z:g} is not finite")
     g = grid.dz * np.exp(_log_tail(grid.nodes[:-1], log_s)[i] - log_s[i - 1])
     # d(z_max) is the limit of f/g as the tail shrinks
     d = np.append(f[:-1] / g[:-1], wage.values[-1] / grid.z_max)
@@ -114,7 +118,6 @@ class OptimalPolicy:
     intake: float                    # hiring rate b
     rho_star: AgeProfile
     cost: float                      # C = E * d(z0)
-    degenerate_support: bool = False
 
 
 def optimal_structure(
@@ -122,23 +125,15 @@ def optimal_structure(
 ) -> OptimalPolicy:
     """Cheapest stationary structure hiring only at age z0.
 
-    For z0 = z_max the ideal structure is a point mass of retiring experts;
-    on the grid it is realized over the last cell and flagged
-    ``degenerate_support`` (a warning is emitted).
+    For z0 = z_max (case ExpertPool) the ideal structure is a point mass of
+    retiring experts; on the grid it is realized over the last cell.
     """
     grid = curves.grid
     j0 = round((z0 - grid.z_min) / grid.dz)
     if not (0 <= j0 <= grid.n) or abs(grid.z_min + j0 * grid.dz - z0) > 1e-9 * max(1.0, abs(z0)):
         raise ValidationError(f"hiring age {z0:g} is not a grid node")
 
-    degenerate = j0 == grid.n
-    j_support = grid.n - 1 if degenerate else j0
-    if degenerate:
-        warnings.warn(
-            "optimal hiring age sits at the retirement age; the structure "
-            "degenerates to the last grid cell",
-            stacklevel=2,
-        )
+    j_support = min(j0, grid.n - 1)
     g0 = float(curves.g[j_support])
     if g0 <= 0:
         raise ValidationError("knowledge tail vanishes on the requested support")
@@ -147,6 +142,9 @@ def optimal_structure(
     hire[j_support] = 1.0 / grid.dz
     rho_star = steady_shape(curves.mu, AgeProfile(grid, b * hire))
 
+    cost = float(constraint.total) * float(curves.d[j0])
+    if not math.isfinite(cost):
+        raise ValidationError(f"wage bill E * d(z0) of the optimal structure is {cost}")
     if j0 == 0:
         case = PolicyCase.YOUTH_INTAKE
     elif j0 == grid.n:
@@ -158,8 +156,7 @@ def optimal_structure(
         case=case,
         intake=float(b),
         rho_star=rho_star,
-        cost=float(constraint.total * curves.d[j0]),
-        degenerate_support=degenerate,
+        cost=cost,
     )
 
 
@@ -181,18 +178,19 @@ def stationary_mixture(curves: OptimizerCurves, hire_density: AgeProfile) -> Age
 @dataclass(frozen=True)
 class SavingsReport:
     current_cost: float
-    optimal_cost: float
     saving_fraction: float
 
 
 def policy_savings(current: AgeProfile, wage: AgeProfile, policy: OptimalPolicy) -> SavingsReport:
     """Wage-bill saving of the optimal policy against a current structure."""
     _same_grid(wage, current)
-    current_cost = float((wage.values[:-1] * current.values[:-1]).sum() * wage.grid.dz)
-    if current_cost <= 0:
-        raise ValidationError("current structure has zero wage bill; saving undefined")
+    with np.errstate(over="ignore", invalid="ignore"):
+        current_cost = float((wage.values[:-1] * current.values[:-1]).sum() * wage.grid.dz)
+    if not (0 < current_cost < math.inf):
+        raise ValidationError(
+            f"current structure's wage bill is {current_cost:g}; saving undefined"
+        )
     return SavingsReport(
         current_cost=current_cost,
-        optimal_cost=policy.cost,
         saving_fraction=1.0 - policy.cost / current_cost,
     )

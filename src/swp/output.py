@@ -87,6 +87,17 @@ def _snapshot_name(t: float) -> str:
     return f"profile_t{t:.15g}.csv"
 
 
+# Series file -> {column header: series name}.  A column is written when the
+# run recorded its series, a file when it has any column.
+_SERIES_FILES = {
+    "headcount.csv": {"headcount": "headcount"},
+    "hiring.csv": {"hiring": "hiring", "attrition_term": "attrition",
+                   "retirement_term": "retirement", "aging_term": "aging"},
+    "budget.csv": {"budget": "budget"},
+    "entropy.csv": {"entropy": "entropy"},
+}
+
+
 def write_timeseries(result: SimulationResult, out_dir: str | Path) -> list[Path]:
     """Write every series of a run into ``out_dir``; returns the file list.
 
@@ -101,26 +112,18 @@ def write_timeseries(result: SimulationResult, out_dir: str | Path) -> list[Path
         clash = sorted({n for n in snap_names if snap_names.count(n) > 1})
         raise ValidationError(f"snapshot times map to the same file name: {', '.join(clash)}")
 
-    series = [("headcount.csv", ["t", "headcount"], [result.headcount])]
-    hiring_names = ["t", "hiring"]
-    hiring_cols = [result.hiring]
-    if result.hiring_parts is not None:
-        for key in ("attrition", "retirement", "aging"):
-            hiring_names.append(f"{key}_term")
-            hiring_cols.append(result.hiring_parts[key])
-    series.append(("hiring.csv", hiring_names, hiring_cols))
-    if result.budget is not None:
-        series.append(("budget.csv", ["t", "budget"], [result.budget]))
-    if result.entropy is not None:
-        series.append(("entropy.csv", ["t", "entropy"], [result.entropy]))
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_cells = list(_cells(result.times))
     files = []
-    for file_name, names, cols in series:
-        _check_columns(names, [result.times, *cols])
-        files.append(_write_cells(out / file_name, names, [t_cells, *map(_cells, cols)]))
+    for file_name, columns in _SERIES_FILES.items():
+        cols = {head: result.series[name] for head, name in columns.items()
+                if name in result.series}
+        if cols:
+            names = ["t", *cols]
+            _check_columns(names, [result.times, *cols.values()])
+            cells = [t_cells, *map(_cells, cols.values())]
+            files.append(_write_cells(out / file_name, names, cells))
     del t_cells  # hold one shared column at a time: it bounds peak memory
 
     z_cells: dict[AgeGrid, list[str]] = {}

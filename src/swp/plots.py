@@ -153,7 +153,7 @@ def _escape(text: str) -> str:
 def _simulation_series(result: SimulationResult) -> tuple[list, list]:
     """Series of the headcount chart and of the age-structure chart."""
     z = result.grid.nodes
-    return ([("P(t)", np.asarray(result.times), np.asarray(result.headcount))],
+    return ([("P(t)", np.asarray(result.times), np.asarray(result.series["headcount"]))],
             [("initial", z, result.initial.values), ("final", z, result.final.values)])
 
 

@@ -31,23 +31,19 @@ _CFL_SLACK = 1e-12
 class SimulationResult:
     """Trajectory of one simulation run.
 
-    Scalar series (headcount, hiring, ...) are recorded at every step;
-    full age profiles only at the snapshot times (always including t=0 and
-    the final time).  ``hiring_parts`` carries the budget model's
-    attrition / retirement / aging decomposition; entropy and budget are
-    None for models that do not define them.
+    ``series`` maps each scalar the model records to its column, one entry
+    per step: ``headcount`` and ``hiring`` for every model, and for the
+    budget model also ``budget``, ``entropy`` and the three hiring terms
+    ``attrition``, ``retirement`` and ``aging``.  Full age profiles are kept
+    only at the snapshot times (always including t=0 and the final time).
     """
 
     model: str
     grid: AgeGrid
     times: np.ndarray
-    headcount: np.ndarray
-    hiring: np.ndarray
+    series: dict[str, np.ndarray]
     snapshot_times: np.ndarray
     snapshots: tuple[AgeProfile, ...]
-    budget: np.ndarray | None = None
-    hiring_parts: dict | None = None
-    entropy: np.ndarray | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -136,21 +132,24 @@ def march(
     mu: AgeProfile,
     gamma: AgeProfile,
     rate,
+    names: tuple[str, ...],
 ) -> SimulationResult:
     """The time loop and the update both transport models share.
 
     The entry node of rho0 is forced to zero (hiring enters through the
-    source term, not the boundary).  Each step records the headcount P and
-    the hiring rate h that ``rate(rho)`` returns as ``(P, h)``, keeps a copy
-    of the profile at snapshot steps and moves on: the entry node of the next
-    density stays zero and the update (:func:`_stepper`, attrition ``mu``,
-    hiring distribution ``gamma``) writes nodes 1..n.  The run holds two
-    state buffers and swaps them every step, so ``rho`` handed to ``rate``
-    is only valid during that step.
+    source term, not the boundary).  Each step records the row of scalars
+    ``rate(rho)`` returns, one per entry of ``names``, whose first two are
+    the headcount P and the hiring rate h; keeps a copy of the profile at
+    snapshot steps and moves on: the entry node of the next density stays
+    zero and the update (:func:`_stepper`, attrition ``mu``, hiring
+    distribution ``gamma``) writes nodes 1..n.  The run holds two state
+    buffers and swaps them every step, so ``rho`` handed to ``rate`` is only
+    valid during that step.
 
-    Overflow does not warn.  The loop stops at the first step whose
-    headcount or hiring rate is not finite and returns the series up to that
-    step, so every caller passes its series to :func:`require_finite`.
+    Overflow does not warn.  The loop stops at the first step whose P or h
+    is not finite, and a run with any recorded value that is not finite is
+    rejected, naming the series and the first step where it fails; when
+    several fail first at the same step, the first in ``names`` is named.
     """
     grid = rho0.grid
     check_dt(dt, grid)
@@ -163,36 +162,23 @@ def march(
     rho = rho0.values.copy()
     rho[0] = 0.0
     spare = np.zeros_like(rho)
-    times = np.arange(n_steps + 1) * dt
-    headcount = np.empty(n_steps + 1)
-    hiring = np.empty(n_steps + 1)
+    rows: list[tuple[float, ...]] = []
     snaps: list[AgeProfile] = []
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
-            headcount[k], hiring[k] = P, h = rate(rho)
-            if not (math.isfinite(P) and math.isfinite(h)):
+            rows.append(row := rate(rho))
+            if not (math.isfinite(row[0]) and math.isfinite(row[1])):
                 break
             if keep[k]:
                 snaps.append(AgeProfile(grid, rho))
             if k == n_steps:
                 break
-            update(rho, h, spare[1:])
+            update(rho, row[1], spare[1:])
             rho, spare = spare, rho
 
-    end = k + 1
-    return SimulationResult(
-        model, grid, times[:end], headcount[:end], hiring[:end], times[:end][keep[:end]],
-        tuple(snaps),
-    )
-
-
-def require_finite(model: str, times: np.ndarray, series: dict[str, np.ndarray]) -> None:
-    """Reject a run whose recorded series hold a value that is not finite.
-
-    The error names the series and the first step where it fails; when
-    several fail first at the same step, the first listed is named.
-    """
+    times = np.arange(k + 1) * dt
+    series = dict(zip(names, np.array(rows).T.copy()))
     first_bad = {name: int(np.argmin(np.isfinite(v))) for name, v in series.items()
                  if not np.isfinite(v).all()}
     if first_bad:
@@ -202,32 +188,27 @@ def require_finite(model: str, times: np.ndarray, series: dict[str, np.ndarray])
             f"{model} run is not finite: {name} is {series[name][step]} at step {step} "
             f"(t = {times[step]:g})"
         )
+    return SimulationResult(model, grid, times, series, times[keep[:k + 1]], tuple(snaps))
 
 
-def detect_steady_state(
-    result: SimulationResult, tol: float = 1e-3, scale: float | None = None
-) -> float | None:
+def detect_steady_state(result: SimulationResult, tol: float = 1e-3) -> float | None:
     """First snapshot time after which the profile stays near its final value.
 
     Returns the earliest snapshot time t* such that the L1 distance to the
-    final profile, relative to ``scale`` (default: the L1 size of the final
-    profile), stays below ``tol`` for every later snapshot; None if the
-    trajectory never settles.  A constant trajectory settles at t = 0.
+    final profile, relative to the largest L1 size among the snapshots,
+    stays below ``tol`` for every later snapshot; None if the trajectory
+    never settles.  Scaling by the largest size lets a run that dies out
+    (final size ~ 0) settle too.  A constant trajectory settles at t = 0.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValidationError(f"tolerance must be finite and positive, got {tol}")
     snaps = result.snapshots
     if not snaps:
         return None
-    target = snaps[-1]
-    denom = scale if scale is not None else float(np.abs(target.values[:-1]).sum() * target.grid.dz)
-    dists = np.empty(len(snaps))
-    for k, p in enumerate(snaps):
-        num = l1_distance(p, target)
-        if denom > 0:
-            dists[k] = num / denom
-        else:
-            dists[k] = 0.0 if num == 0.0 else np.inf
+    peak = max(float(np.abs(s.values[:-1]).sum() * s.grid.dz) for s in snaps)
+    dists = np.array([l1_distance(p, snaps[-1]) for p in snaps])
+    if peak > 0:  # a zero peak leaves every distance zero
+        dists /= peak
     ok = dists <= tol
     # first index from which every later snapshot stays within tol
     settled = np.logical_and.accumulate(ok[::-1])[::-1]

@@ -46,7 +46,7 @@ from .numerics import (
     steady_shape,
     _same_grid,
 )
-from .results import SimulationResult, march, require_finite
+from .results import SimulationResult, march
 
 class Regime(enum.Enum):
     """Long-run regimes of the saturating model."""
@@ -177,8 +177,7 @@ def simulate_saturating(
         P = float(rho[:-1].sum() * dz)
         return P, hiring_response(params, P)
 
-    result = march("saturating", rho0, dt, t_end, snapshot_every, params.mu, params.gamma, rate)
-    require_finite("saturating", result.times, {
-        "headcount": result.headcount, "hiring": result.hiring,
-    })
-    return result
+    return march(
+        "saturating", rho0, dt, t_end, snapshot_every, params.mu, params.gamma, rate,
+        ("headcount", "hiring"),
+    )

@@ -77,7 +77,7 @@ def test_criterion_02_equilibrium_round_trip():
     report = equilibria(params)
     exact = report.p_eq == 1000.0
     result = simulate_saturating(params, report.rho_eq, dt=1.0, t_end=100.0)
-    headcount = np.asarray(result.headcount)
+    headcount = result.series["headcount"]
     drift = float(np.max(np.abs(headcount - 1000.0)) / 1000.0)
     ok = exact and drift < 1e-9
     check(
@@ -94,7 +94,7 @@ def test_criterion_03_subcritical_geometric_decay():
     result = simulate_saturating(
         sc.saturating_params(), sc.rho0, dt=sc.dt, t_end=sc.t_end
     )
-    headcount = np.asarray(result.headcount)
+    headcount = result.series["headcount"]
     sup = float(headcount.max())
     ok = True
     worst = 0.0
@@ -149,7 +149,7 @@ def test_criterion_05_budget_conservation_long_run():
         sc = swp.load_scenario(SCENARIOS / name)
         dt = sc.effective_dt()
         result = simulate_budget(sc.budget_params(), sc.rho0, dt=dt, t_end=10_000 * dt)
-        budget = np.asarray(result.budget)
+        budget = result.series["budget"]
         drifts.append(float(np.max(np.abs(budget - budget[0])) / budget[0]))
     ok = all(d < 1e-10 for d in drifts) and len(result.times) == 10_001
     check(
@@ -175,7 +175,7 @@ def test_criterion_06_entropy_decay_and_limit_profile():
     for name in ("bu-a-budget.json", "bu-b-budget.json"):
         sc, params, result = _budget_run(name)
         assert budget_assumption(params, sc.effective_dt()).holds
-        H = np.asarray(result.entropy)
+        H = result.series["entropy"]
         monotone = bool(np.all(H[1:] - H[:-1] <= 1e-8 * H[0]))
         family = stationary_family(params, sc.rho0)
         limit = family.base.with_values(family.base.values * family.predicted_scale)
@@ -187,7 +187,7 @@ def test_criterion_06_entropy_decay_and_limit_profile():
 
 def test_criterion_07_shrinking_unit_regime():
     _, _, result = _budget_run("bu-b-budget.json")
-    headcount = np.asarray(result.headcount)
+    headcount = result.series["headcount"]
     ratio = float(headcount[-1] / headcount[0])
     check(
         7,

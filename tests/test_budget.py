@@ -26,6 +26,9 @@ from swp import (
 )
 
 
+PARTS = ("attrition", "retirement", "aging")
+
+
 def one_step(par, rho, dt):
     """One step of a budget run from rho; the new density is its ``final``."""
     return simulate_budget(par, rho, dt=dt, t_end=dt)
@@ -34,7 +37,7 @@ def one_step(par, rho, dt):
 def hiring_rate(par, rho, dt):
     """The hiring rate of a run from rho at step dt and its three terms, at t = 0."""
     res = one_step(par, rho, dt)
-    return res.hiring[0], {key: series[0] for key, series in res.hiring_parts.items()}
+    return res.series["hiring"][0], {key: res.series[key][0] for key in PARTS}
 
 
 def flat_params(grid, mu=0.1, omega=1.0):
@@ -83,7 +86,7 @@ class TestHiringRate:
     def test_stationary_base_rate_is_step_invariant(self, grid50):
         par = interior_hiring_params(grid50)
         base = swp.steady_shape(par.mu, par.gamma)
-        h = simulate_budget(par, base, t_end=2.0).hiring
+        h = simulate_budget(par, base, t_end=2.0).series["hiring"]
         assert h[1] == pytest.approx(h[0], rel=1e-12)
         assert h[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -247,7 +250,7 @@ class TestBudgetRateOfTheSharedUpdate:
         for snap in res.snapshots:
             # elementwise relative 1e-13; the zeros below the first hiring age stay exact
             assert np.all(np.abs(snap.values - target) <= 1e-13 * np.abs(target))
-        np.testing.assert_allclose(res.hiring, m, rtol=1e-13)
+        np.testing.assert_allclose(res.series["hiring"], m, rtol=1e-13)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_nonnegative_row_keeps_a_nonnegative_start_nonnegative(self, lam):
@@ -259,7 +262,7 @@ class TestBudgetRateOfTheSharedUpdate:
             rho0 = AgeProfile(par.grid, rng.uniform(0.0, 50.0, par.grid.n + 1))
             res = simulate_budget(par, rho0, dt=dt, t_end=200 * dt, snapshot_every=dt)
             assert len(res.snapshots) == 201
-            assert np.all(res.hiring >= 0.0)
+            assert np.all(res.series["hiring"] >= 0.0)
             for snap in res.snapshots:
                 assert np.all(snap.values >= 0.0)
 
@@ -267,8 +270,8 @@ class TestBudgetRateOfTheSharedUpdate:
     def test_terms_sum_to_hiring_exactly(self, scenarios_dir, name):
         sc = swp.load_scenario(scenarios_dir / f"{name}.json")
         res = simulate_budget(sc.budget_params(), sc.rho0, dt=sc.dt, t_end=sc.t_end)
-        parts = res.hiring_parts
-        assert np.array_equal(res.hiring, parts["attrition"] + parts["retirement"] + parts["aging"])
+        s = res.series
+        assert np.array_equal(s["hiring"], s["attrition"] + s["retirement"] + s["aging"])
 
     def test_row_at_unit_courant_number_is_the_discrete_condition(self):
         # at dt = dz the row is >= 0 on nodes 1..n exactly when
@@ -345,7 +348,7 @@ class TestRelativeEntropy:
         assert budget_assumption(par, grid50.dz).holds
         rho0 = interpolate_profile(grid50, [20, 25, 30, 70], [0.0, 40.0, 5.0, 5.0])
         res = simulate_budget(par, rho0, t_end=80.0)
-        H = res.entropy
+        H = res.series["entropy"]
         assert np.all(H[1:] <= H[:-1] + 1e-8 * H[0])
 
 
@@ -354,15 +357,16 @@ class TestSimulateBudget:
         par = interior_hiring_params(grid50)
         rho0 = interpolate_profile(grid50, [20, 30, 50, 70], [0.0, 25.0, 10.0, 0.0])
         res = simulate_budget(par, rho0, t_end=60.0)
-        drift = np.max(np.abs(res.budget - res.budget[0])) / abs(res.budget[0])
+        b = res.series["budget"]
+        drift = np.max(np.abs(b - b[0])) / abs(b[0])
         assert drift < 1e-10
 
     def test_hiring_parts_columns_present(self, grid50):
         par = interior_hiring_params(grid50)
         res = simulate_budget(par, constant_profile(grid50, 10.0), t_end=5.0)
-        assert set(res.hiring_parts) == {"attrition", "retirement", "aging"}
-        total = sum(res.hiring_parts.values())
-        np.testing.assert_allclose(total, res.hiring, rtol=1e-9, atol=1e-12)
+        assert set(PARTS) <= set(res.series)
+        total = sum(res.series[key] for key in PARTS)
+        np.testing.assert_allclose(total, res.series["hiring"], rtol=1e-9, atol=1e-12)
 
     def test_default_dt_satisfies_cfl(self, grid50):
         # the default step is the bound itself, dt = dz
@@ -383,7 +387,7 @@ class TestSimulateBudget:
     def test_aging_workforce_shrinks_under_flat_budget(self, scenarios_dir):
         sc = swp.load_scenario(scenarios_dir / "bu-b-budget.json")
         res = simulate_budget(sc.budget_params(), sc.rho0, t_end=200.0, snapshot_every=100.0)
-        assert res.headcount[-1] < res.headcount[0]
+        assert res.series["headcount"][-1] < res.series["headcount"][0]
 
 
 class TestBudgetParamsValidation:

@@ -533,6 +533,29 @@ class TestErrorsAndExitCodes:
         assert not out.exists()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("profiles, message", [
+        ({"cost": {"piecewise": [[20, 1e300], [70, 1.7e308]]}},
+         "wage bill of a cohort hired at age 20 is not finite"),
+        ({"cost": {"constant": 1e300}, "current_hiring": {"constant": 1e10}},
+         "current structure's wage bill is inf; saving undefined"),
+    ], ids=["cohort-bill", "current-bill"])
+    def test_overflowing_wage_bill_exits_1_before_writing(
+        self, capsys, scenarios_dir, tmp_path, profiles, message
+    ):
+        doc = json.loads((scenarios_dir / "bu-1-optimize.json").read_text())
+        doc["profiles"].update(profiles)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(
+                capsys, "optimize", "--scenario", str(write_doc(tmp_path, doc)), "--out", str(out)
+            )
+        assert code == 1
+        assert err == f"error[invalid]: {message}\n"
+        assert "inf" not in stdout and "nan" not in stdout and "overflow" not in stdout
+        assert not out.exists()
+        assert not caught
+
     def test_huge_saturating_density_fails_before_plotting(self, capsys, scenarios_dir, tmp_path):
         doc = json.loads((scenarios_dir / "bu-a-saturating.json").read_text())
         doc["profiles"]["initial"] = {"constant": 1e306}

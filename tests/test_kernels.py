@@ -215,15 +215,14 @@ def test_entropy_ignores_mass_off_the_support():
 def reference_simulate_budget(par, rho0, dt, t_end, snapshot_every):
     """The budget run as the reference expressions compute it, on the shared time loop."""
     base = stationary_family(par, rho0).base
-    rows = []
 
     def rate(rho):
         attrition, retirement, aging, total = reference_hiring_terms(par, dt, rho)
-        rows.append((total, reference_entropy(par, base, rho), attrition, retirement, aging))
-        return reference_headcount(par, rho), attrition + retirement + aging
+        return (reference_headcount(par, rho), attrition + retirement + aging, total,
+                reference_entropy(par, base, rho), attrition, retirement, aging)
 
-    res = march("budget", rho0, dt, t_end, snapshot_every, par.mu, par.gamma, rate)
-    return res, np.array(rows).T
+    return march("budget", rho0, dt, t_end, snapshot_every, par.mu, par.gamma, rate,
+                 budget._SERIES)
 
 
 def bundled_budget_run(name):
@@ -235,15 +234,12 @@ def bundled_budget_run(name):
 def test_budget_run_matches_reference_expressions(name):
     par, rho0, dt, t_end = bundled_budget_run(name)
     got = simulate_budget(par, rho0, dt=dt, t_end=t_end, snapshot_every=dt)
-    want, (total, entropy, *parts) = reference_simulate_budget(par, rho0, dt, t_end, dt)
+    want = reference_simulate_budget(par, rho0, dt, t_end, dt)
     assert np.array_equal(got.times, want.times)
     assert np.array_equal(got.snapshot_times, want.snapshot_times)
-    assert close(got.headcount, want.headcount)
-    assert close(got.hiring, want.hiring)
-    assert close(got.budget, total)
-    assert close(got.entropy, entropy)
-    for key, series in zip(("attrition", "retirement", "aging"), parts):
-        assert close(got.hiring_parts[key], series), key
+    assert list(got.series) == list(want.series)
+    for key, series in want.series.items():
+        assert close(got.series[key], series), key
     assert len(got.snapshots) == len(want.snapshots) == len(got.times)
     for k, (p, q) in enumerate(zip(got.snapshots, want.snapshots)):
         assert close(p.values, q.values), f"snapshot {k}"
@@ -252,7 +248,7 @@ def test_budget_run_matches_reference_expressions(name):
 @pytest.mark.parametrize("name", ["bu-a-budget", "bu-b-budget"])
 def test_bundled_budget_drift_stays_within_1e_13(name):
     par, rho0, dt, t_end = bundled_budget_run(name)
-    b = simulate_budget(par, rho0, dt=dt, t_end=t_end).budget
+    b = simulate_budget(par, rho0, dt=dt, t_end=t_end).series["budget"]
     assert float(np.max(np.abs(b - b[0])) / abs(b[0])) <= REL
 
 
@@ -268,7 +264,7 @@ def test_advance_pins_the_entry_node_and_writes_out():
     first, out = res.snapshots[0].values, res.final.values
     assert first[0] == out[0] == 0.0
     assert np.array_equal(first[1:], rho[1:])
-    assert np.array_equal(bits(out[1:]), bits(reference_update(par, dt)(first, res.hiring[0])))
+    assert np.array_equal(bits(out[1:]), bits(reference_update(par, dt)(first, res.series["hiring"][0])))
 
 
 def plain_loop(sc, dt, n_steps):
@@ -313,7 +309,7 @@ def test_run_equals_step_loop_bitwise(name):
     rows = plain_loop(sc, dt, len(res.times) - 1)
     for k, (snap, (rho, P, h)) in enumerate(zip(res.snapshots, rows)):
         assert np.array_equal(bits(snap.values), bits(rho)), f"step {k}"
-        assert res.headcount[k] == P and res.hiring[k] == h, f"step {k}"
+        assert res.series["headcount"][k] == P and res.series["hiring"][k] == h, f"step {k}"
 
 
 @pytest.mark.parametrize("model", ["budget", "saturating"])
@@ -334,3 +330,19 @@ def test_snapshots_of_a_run_share_no_memory(model):
     for p, q in itertools.combinations(res.snapshots, 2):
         assert not np.shares_memory(p.values, q.values)
         assert not np.array_equal(p.values, q.values)
+
+
+@pytest.mark.parametrize("model", ["budget", "saturating"])
+def test_a_run_records_the_series_its_model_names(model):
+    rng, g, mu, gamma, omega = random_profiles(50, seed=13)
+    rho0 = AgeProfile(g, random_state(rng, 50))
+    if model == "budget":
+        res = simulate_budget(BudgetParams.build(mu, gamma, omega), rho0, t_end=7 * g.dz)
+        names = ["headcount", "hiring", "budget", "entropy", "attrition", "retirement", "aging"]
+    else:
+        res = simulate_saturating(SaturatingParams.build(2.4e-5, mu, gamma), rho0, g.dz, 7 * g.dz)
+        names = ["headcount", "hiring"]
+    assert list(res.series) == names
+    assert len(res.times) == 8
+    for name, column in res.series.items():
+        assert column.shape == (len(res.times),), name

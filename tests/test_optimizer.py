@@ -109,6 +109,15 @@ class TestOptimizerCurves:
         with pytest.raises(ValidationError):
             optimizer_curves(constant_profile(g, -5.0), constant_profile(g, 0.1))
 
+    def test_overflowing_wage_bill_rejected(self):
+        # w * tenure overflows for the cohorts hired before age 30 only
+        g = build_grid(20.0, 70.0, 0.5)
+        wage = interpolate_profile(g, [20, 30, 31, 70], [1.7e308, 1.7e308, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="cohort hired at age 20 is not finite"):
+                optimizer_curves(wage, constant_profile(g, 0.0))
+
     def test_zero_entry_age_rejected(self):
         g = build_grid(0.0, 50.0, 1.0)
         with pytest.raises(ValidationError):
@@ -152,11 +161,22 @@ class TestOptimalStructure:
         assert np.all(pol.rho_star.values[~below] > 0.0)
 
     def test_degenerate_retirement_age_warns(self):
+        # the case is the flag: the library raises no warning, and the
+        # structure of hires at the retirement age sits on the last cell
         curves, _ = curves_flat_wage()
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             pol = optimal_structure(curves, 70.0, KnowledgeConstraint(1000.0))
-        assert pol.degenerate_support is True
         assert pol.case is PolicyCase.EXPERT_POOL
+        n = curves.grid.n
+        assert np.nonzero(pol.rho_star.values)[0].tolist() == [n - 1, n]
+
+    def test_non_finite_cost_rejected(self):
+        curves, _ = curves_flat_wage(w0=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"E \* d\(z0\) of the optimal structure is inf"):
+                optimal_structure(curves, 70.0, KnowledgeConstraint(1e11))
 
     def test_off_grid_age_rejected(self):
         curves, _ = curves_flat_wage()
@@ -249,9 +269,7 @@ class TestOptimizePipeline:
 
     def test_expert_pool_scenario(self, scenarios_dir):
         sc = swp.load_scenario(scenarios_dir / "bu-1-optimize.json")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pol = optimize(sc)
+        pol = optimize(sc)
         assert pol.z0 == 70.0
         assert pol.case is PolicyCase.EXPERT_POOL
 
@@ -276,7 +294,7 @@ def test_rho_star_is_a_fixed_point_of_the_scheme(scenarios_dir, name, model):
     else:
         par = swp.BudgetParams.build(sc.mu, hire, sc.omega)
         res = swp.simulate_budget(par, pol.rho_star, dt=g.dz, t_end=g.dz)
-        assert res.hiring[0] == pytest.approx(pol.intake, rel=1e-12)
+        assert res.series["hiring"][0] == pytest.approx(pol.intake, rel=1e-12)
         out = res.final.values
     moved = np.abs(out - rho).sum()
     assert moved <= 1e-12 * np.abs(rho).sum()
@@ -298,6 +316,16 @@ class TestPolicySavings:
         pol = optimal_structure(curves, 34.0, KnowledgeConstraint(8000.0))
         with pytest.raises(ValidationError):
             policy_savings(constant_profile(g, 0.0), wage, pol)
+
+    def test_overflowing_current_cost_rejected(self):
+        g = build_grid(20.0, 70.0, 0.5)
+        wage = constant_profile(g, 1e300)
+        curves = optimizer_curves(wage, constant_profile(g, 0.15))
+        pol = optimal_structure(curves, 34.0, KnowledgeConstraint(8000.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="wage bill is inf"):
+                policy_savings(constant_profile(g, 1e10), wage, pol)
 
     def test_current_practice_savings_frozen(self, scenarios_dir):
         sc = swp.load_scenario(scenarios_dir / "bu-2-optimize.json")

@@ -97,16 +97,15 @@ class TestTimeseries:
         r = swp.simulate_budget(
             sc.budget_params(), sc.rho0, dt=sc.dt, t_end=sc.t_end, snapshot_every=sc.snapshot_every
         )
-        t = r.times
-        parts = [r.hiring_parts[k] for k in ("attrition", "retirement", "aging")]
+        t, s = r.times, r.series
         expected = {
-            "headcount.csv": (["t", "headcount"], [t, r.headcount]),
+            "headcount.csv": (["t", "headcount"], [t, s["headcount"]]),
             "hiring.csv": (
                 ["t", "hiring", "attrition_term", "retirement_term", "aging_term"],
-                [t, r.hiring, *parts],
+                [t, s["hiring"], s["attrition"], s["retirement"], s["aging"]],
             ),
-            "budget.csv": (["t", "budget"], [t, r.budget]),
-            "entropy.csv": (["t", "entropy"], [t, r.entropy]),
+            "budget.csv": (["t", "budget"], [t, s["budget"]]),
+            "entropy.csv": (["t", "entropy"], [t, s["entropy"]]),
         }
         for snap_t, snap in zip(r.snapshot_times, r.snapshots):
             expected[f"profile_t{snap_t:g}.csv"] = (["z", "rho"], [snap.grid.nodes, snap.values])
@@ -138,7 +137,7 @@ class TestTimeseries:
         found = read_timeseries(tmp_path)
         np.testing.assert_array_equal(found["headcount.csv"]["t"], np.asarray(budget_run.times))
         np.testing.assert_array_equal(
-            found["headcount.csv"]["headcount"], np.asarray(budget_run.headcount)
+            found["headcount.csv"]["headcount"], budget_run.series["headcount"]
         )
         first = budget_run.snapshots[0]
         np.testing.assert_array_equal(found["profile_t0.csv"]["rho"], first.values)
@@ -164,8 +163,8 @@ class TestSnapshotNames:
             model="saturating",
             grid=g,
             times=times,
-            headcount=np.array([swp.integrate(s) for s in snaps]),
-            hiring=np.zeros(len(times)),
+            series={"headcount": np.array([swp.integrate(s) for s in snaps]),
+                    "hiring": np.zeros(len(times))},
             snapshot_times=times,
             snapshots=snaps,
         )

@@ -209,7 +209,7 @@ class TestStepSaturating:
         )
         res = one_step(par, constant_profile(grid50, 10.0), 1.0)
         a = 490.0 / 1.2401
-        assert res.hiring[0] == pytest.approx(a, rel=1e-14)
+        assert res.series["hiring"][0] == pytest.approx(a, rel=1e-14)
         expected = np.full(grid50.n + 1, (10.0 + 0.02 * a) / 1.1)
         expected[0] = 0.0
         expected[1] = 0.04 * a / 1.1
@@ -255,7 +255,7 @@ class TestSimulateSaturating:
     def test_zero_initial_stays_zero(self, grid50):
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
         res = simulate_saturating(par, constant_profile(grid50, 0.0), dt=1.0, t_end=30.0)
-        assert np.all(res.headcount == 0.0)
+        assert np.all(res.series["headcount"] == 0.0)
         assert np.all(res.final.values == 0.0)
 
     @pytest.mark.parametrize("t_end, dt", [(np.inf, 1.0), (np.nan, 1.0), (10.0, np.inf), (10.0, np.nan)])
@@ -276,13 +276,14 @@ class TestSimulateSaturating:
         par = SaturatingParams.build(calibrate_alpha(beta, 1000.0), mu, gam)
         report = equilibria(par)
         res = simulate_saturating(par, report.rho_eq, dt=0.25, t_end=100.0, snapshot_every=10.0)
-        drift = np.max(np.abs(res.headcount - report.p_eq)) / report.p_eq
+        drift = np.max(np.abs(res.series["headcount"] - report.p_eq)) / report.p_eq
         assert drift < 1e-12
 
     def test_hiring_series_matches_response(self, grid50):
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
         res = simulate_saturating(par, constant_profile(grid50, 10.0), dt=1.0, t_end=5.0)
-        assert res.hiring[0] == pytest.approx(hiring_response(par, res.headcount[0]), rel=1e-14)
+        P, h = res.series["headcount"], res.series["hiring"]
+        assert h[0] == pytest.approx(hiring_response(par, P[0]), rel=1e-14)
 
     def test_decay_scenario_extinction_bound(self, scenarios_dir):
         sc = swp.load_scenario(scenarios_dir / "decay-below-threshold.json")
@@ -290,10 +291,11 @@ class TestSimulateSaturating:
         assert sc.beta == pytest.approx(0.7998925508219967, rel=1e-12)
         res = simulate_saturating(par, sc.rho0, dt=sc.dt, t_end=200.0, snapshot_every=50.0)
         span = par.grid.z_max - par.grid.z_min
-        sup_p = float(np.max(res.headcount))
+        P = res.series["headcount"]
+        sup_p = float(np.max(P))
         for n in (1, 2, 3, 4):
             k = int(round(n * span / sc.dt))
-            assert res.headcount[k] <= sup_p * 0.8**n
+            assert P[k] <= sup_p * 0.8**n
 
 
 class TestDetectSteadyState:
@@ -304,13 +306,10 @@ class TestDetectSteadyState:
             model="saturating",
             grid=grid,
             times=np.asarray(times, dtype=float),
-            headcount=np.array([swp.integrate(s) for s in snaps]),
-            hiring=np.zeros(n),
+            series={"headcount": np.array([swp.integrate(s) for s in snaps]),
+                    "hiring": np.zeros(n)},
             snapshot_times=np.asarray(times, dtype=float),
             snapshots=tuple(snaps),
-            budget=None,
-            hiring_parts=None,
-            entropy=None,
             notes=(),
         )
 
@@ -339,7 +338,7 @@ class TestDetectSteadyState:
         res = simulate_saturating(
             sc.saturating_params(), sc.rho0, dt=0.1, t_end=200.0, snapshot_every=1.0
         )
-        t_star = swp.detect_steady_state(res, tol=1e-3, scale=res.headcount[0])
+        t_star = swp.detect_steady_state(res, tol=1e-3)
         assert t_star == 28.0
 
     def test_bad_tolerance_rejected(self, grid50):
