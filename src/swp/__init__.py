@@ -12,7 +12,6 @@ from .budget import (
     StationaryFamily,
     budget_assumption,
     budget_total,
-    relative_entropy,
     simulate_budget,
     stationary_family,
 )

@@ -30,16 +30,16 @@ keeps a nonnegative density nonnegative whenever every c_j >= 0 on nodes
 omega_j (1 + mu_{j+1} dz) >= omega_{j+1}, and as dt -> 0 it tends to the
 continuous mu*omega >= omega'.
 
-This module supplies the hiring rate as one functional for every per-step
-sum (:func:`_reductions`): one matrix-vector product gives the headcount,
-the attrition and aging terms of h and the budget, and one dot the relative
-entropy.  These reassociate the nodal sums above, so they match them to
-rounding, not bit for bit.
+One helper, :func:`_weights`, builds the c_j; the run (:func:`_reductions`)
+and the positivity verdict (:func:`budget_assumption`) both take them from
+it.  Per step, one matrix-vector product gives the headcount, the attrition
+and aging terms of h and the budget, and one dot the relative entropy; these
+match the nodal sums above to rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,15 +61,25 @@ _SERIES = ("headcount", "hiring", "budget", "entropy", "attrition", "retirement"
 
 @dataclass(frozen=True)
 class BudgetAssumptionReport:
-    """Sign of the budget hiring rate's weights on nodes 1..n at one step size.
+    """Sign of the budget hiring rate's weights on nodes 1..n at step ``dt``.
 
-    The margin is the weight c_j in the unit of mu*omega - omega':
+    ``margins`` holds each weight c_j in the unit of mu*omega - omega':
     c_j K / dz = mu_j wt_j - wt'_j (see the module docstring).
     """
 
     holds: bool
     worst_age: float
     worst_margin: float
+    dt: float
+    margins: np.ndarray = field(repr=False, compare=False)
+
+    def failure(self) -> str:
+        """The sentence that states a failed verdict."""
+        return (
+            f"budget positivity assumption fails at age {self.worst_age:g} "
+            f"(margin {self.worst_margin:.6g} at dt = {self.dt:g}); "
+            "entropy diagnostics are observational"
+        )
 
 
 @dataclass(frozen=True)
@@ -102,29 +112,41 @@ class BudgetParams:
         return BudgetParams(mu, gamma, omega)
 
 
-def _step_cost(params: BudgetParams, dt: float) -> np.ndarray:
-    """wt = omega / (1 + mu dt), the cost the budget-conserving rate at step dt weighs."""
-    return params.omega.values / (1.0 + params.mu.values * dt)
+def _weights(params: BudgetParams, dt: float):
+    """(attrition row, aging row, retirement weight, K) of the hiring rate at step dt.
+
+    With wt = omega / (1 + mu dt): dz mu wt / K on nodes 1..n, -dz wt' / K on
+    nodes 1..n-1 and wt_n / K, so h = attrition.rho + weight rho_n + aging.rho.
+    """
+    mu, dz = params.mu.values, params.grid.dz
+    wt = params.omega.values / (1.0 + mu * dt)
+    cost = float((wt[1:] * hire_source(params.gamma.values)).sum() * dz)
+    attrition = np.zeros_like(wt)
+    attrition[1:] = mu[1:] * wt[1:] * (dz / cost)
+    aging = np.zeros_like(wt)
+    aging[1:-1] = (wt[2:] - wt[1:-1]) * (-1.0 / cost)
+    return attrition, aging, float(wt[-1]) / cost, cost
 
 
 def budget_assumption(params: BudgetParams, dt: float) -> BudgetAssumptionReport:
     """Whether the hiring rate's weights c_j are >= 0 on nodes 1..n at step dt.
 
     With them, and dt <= dz, a run keeps a nonnegative density nonnegative
-    and its relative entropy is expected to decay.  The margin reported is
-    c_j K / dz: mu_j wt_j - wt'_j below z_max and mu_n wt_n + wt_n / dz at it,
-    the rows :func:`_reductions` weighs the density with, times K / dz.
+    and its relative entropy is expected to decay.  Each margin is c_j K / dz,
+    summed as the run sums h, so it has the sign of the rate of a unit
+    density at its node.
     """
-    mu, dz = params.mu.values, params.grid.dz
-    wt = _step_cost(params, dt)
-    margins = mu[1:] * wt[1:]
-    margins[:-1] -= (wt[2:] - wt[1:-1]) / dz
-    margins[-1] += wt[-1] / dz
+    attrition, aging, retire, cost = _weights(params, dt)
+    margins = attrition[1:] + aging[1:]  # aging is 0 at node n
+    margins[-1] += retire
+    margins *= cost / params.grid.dz
     worst = int(np.argmin(margins))
     return BudgetAssumptionReport(
         holds=bool(margins[worst] >= 0.0),
         worst_age=float(params.grid.nodes[worst + 1]),
         worst_margin=float(margins[worst]),
+        dt=dt,
+        margins=margins,
     )
 
 
@@ -133,45 +155,34 @@ def budget_total(rho: AgeProfile, params: BudgetParams) -> float:
     return float((params.omega.values[1:] * rho.values[1:]).sum() * params.grid.dz)
 
 
-def _entropy_weight(params: BudgetParams, base: AgeProfile) -> np.ndarray:
-    """v = omega dz / base on nodes 1..n where the base is positive, 0 elsewhere."""
-    v = np.zeros(params.grid.n + 1)
-    support = base.values > 0.0
-    support[0] = False
-    v[support] = params.omega.values[support] * params.grid.dz / base.values[support]
-    return v
-
-
 def _reductions(params: BudgetParams, dt: float, base: AgeProfile):
-    """Every per-step sum of a density array at step dt, weights computed once.
+    """``row(rho)``: the scalars a budget run records per step, in ``_SERIES`` order.
 
-    ``sums(rho)`` returns (headcount, attrition, retirement, aging, budget,
-    relative entropy against ``base``).  The 4 x (n+1) weight rows are the
-    headcount, the attrition row dz mu wt / K on nodes 1..n, the aging row
-    -dz wt' / K on nodes 1..n-1 and the budget; the retirement term is
-    wt_n rho_n / K.
+    The hiring rate is attrition + retirement + aging.  One product with the
+    rows headcount, attrition and aging (:func:`_weights`) and budget gives
+    four of them; the relative entropy against ``base`` is one dot with
+    v = omega dz / base on nodes 1..n where the base is positive, 0 elsewhere.
     """
-    grid, mu, w = params.grid, params.mu.values, params.omega.values
-    dz = grid.dz
-    wt = _step_cost(params, dt)
-    cost = float((wt[1:] * hire_source(params.gamma.values)).sum() * dz)
+    grid, w, b = params.grid, params.omega.values, base.values
+    attrition, aging, retire, _ = _weights(params, dt)
     weights = np.zeros((4, grid.n + 1))
-    weights[0, :-1] = dz
-    weights[1, 1:] = mu[1:] * wt[1:] * (dz / cost)
-    weights[2, 1:-1] = (wt[2:] - wt[1:-1]) * (-1.0 / cost)
-    weights[3, 1:] = w[1:] * dz
-    retire = float(wt[-1]) / cost
-    v = _entropy_weight(params, base)
+    weights[0, :-1] = grid.dz
+    weights[1:3] = attrition, aging
+    weights[3, 1:] = w[1:] * grid.dz
+    v = np.zeros(grid.n + 1)
+    support = b > 0.0
+    support[0] = False
+    v[support] = w[support] * grid.dz / b[support]
     out = np.empty(4)
     scratch = np.empty(grid.n + 1)
 
-    def sums(rho: np.ndarray) -> tuple[float, ...]:
+    def row(rho: np.ndarray) -> tuple[float, ...]:
         P, attrition, aging, total = np.matmul(weights, rho, out=out).tolist()
         retirement = retire * float(rho[-1])
         entropy = float(np.dot(np.multiply(rho, v, out=scratch), rho))
-        return P, attrition, retirement, aging, total, entropy
+        return P, attrition + retirement + aging, total, entropy, attrition, retirement, aging
 
-    return sums
+    return row
 
 
 @dataclass(frozen=True)
@@ -199,17 +210,6 @@ def stationary_family(params: BudgetParams, rho0: AgeProfile) -> StationaryFamil
     return StationaryFamily(base, m)
 
 
-def relative_entropy(rho: AgeProfile, family: StationaryFamily, params: BudgetParams) -> float:
-    """Quadratic relative entropy of rho against the stationary base.
-
-    H = dz * sum omega_j base_j (rho_j / base_j)^2 over nodes 1..n where the
-    base is positive.  Along budget-model trajectories H is expected to be
-    nonincreasing whenever :func:`budget_assumption` holds.
-    """
-    rho = rho.values
-    return float(np.dot(rho * _entropy_weight(params, family.base), rho))
-
-
 def simulate_budget(
     params: BudgetParams,
     rho0: AgeProfile,
@@ -222,26 +222,19 @@ def simulate_budget(
     dt defaults to dz.  Besides headcount and hiring, ``series`` records the
     conserved budget, the relative entropy against the stationary family of
     rho0 and the three terms of the hiring rate at every step.  When
-    :func:`budget_assumption` fails at dt the entropy series is still
-    recorded but flagged observational in ``notes``.
+    :func:`budget_assumption` fails at dt the run goes on while its hiring
+    rate stays nonnegative, and ``notes`` holds the verdict's
+    :meth:`~BudgetAssumptionReport.failure` sentence.
     """
     _same_grid(params.mu, rho0)
     if dt is None:
         dt = params.grid.dz
     check_dt(dt, params.grid)  # before the rate's weights, which assume a valid step
-    sums = _reductions(params, dt, stationary_family(params, rho0).base)
-
-    def rate(rho: np.ndarray) -> tuple[float, ...]:
-        P, attrition, retirement, aging, total, entropy = sums(rho)
-        return P, attrition + retirement + aging, total, entropy, attrition, retirement, aging
-
+    row = _reductions(params, dt, stationary_family(params, rho0).base)
     result = march(
-        "budget", rho0, dt, t_end, snapshot_every, params.mu, params.gamma, rate, _SERIES
+        "budget", rho0, dt, t_end, snapshot_every, params.mu, params.gamma, row, _SERIES
     )
     report = budget_assumption(params, dt)
     if report.holds:
         return result
-    return replace(result, notes=(
-        f"budget positivity assumption fails at age {report.worst_age:g} "
-        f"(margin {report.worst_margin:.3g}); entropy diagnostic is observational",
-    ))
+    return replace(result, notes=(report.failure(),))

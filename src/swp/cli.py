@@ -35,7 +35,8 @@ from .optimizer import (
     stationary_mixture,
 )
 from .output import write_columns, write_profile, write_timeseries
-from .plots import _check_charts, age_structure_plot, cost_curve_plot, headcount_plot, profile_plot
+from .plots import _check_charts, age_structure_plot, cost_curve_layout, cost_curve_plot
+from .plots import headcount_plot, profile_layout, profile_plot
 from .results import detect_steady_state
 from .saturating import equilibria, simulate_saturating
 from .scenario import Scenario, cfl_margin, load_scenario
@@ -158,10 +159,11 @@ def cmd_equilibrium(args) -> int:
     _emit(args, f"beta_h = {report.beta_h:.6g}")
     _emit(args, f"alpha = {report.alpha:.6g}")
     _emit(args, f"P_eq = {report.p_eq:g}, regime = {report.regime.value}")
+    chart = profile_layout(report.rho_eq, "Equilibrium age structure")  # fails before any file
     _made(out)
     files = [
         write_profile(out / "rho_eq.csv", report.rho_eq, value_name="rho_eq"),
-        profile_plot(report.rho_eq, out / "rho_eq.svg", "Equilibrium age structure", "density"),
+        profile_plot(chart, out / "rho_eq.svg", "density"),
     ]
     for f in files:
         _emit(args, f"wrote {f}")
@@ -170,7 +172,7 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario, out = _load(args, ("saturating", "budget"))
-    dt = args.dt if args.dt is not None else scenario.effective_dt()
+    dt = args.dt if args.dt is not None else scenario.dt
     t_end = args.t_end if args.t_end is not None else scenario.t_end
     snap = scenario.snapshot_every
 
@@ -241,13 +243,17 @@ def cmd_optimize(args) -> int:
             f"saving = {100.0 * saving.saving_fraction:.1f}%",
         )
 
+    # every chart is laid out, so a chart that cannot be drawn fails, before any file
+    d_chart = cost_curve_layout(curves.grid.nodes, curves.d)
+    wage_chart = profile_layout(scenario.omega, "Cost per employee")
+    star_chart = profile_layout(policy.rho_star, "Optimal age structure")
     _made(out)
     files = [
         write_columns(out / "d.csv", ["z", "d"], [curves.grid.nodes, np.asarray(curves.d)]),
         write_profile(out / "rho_star.csv", policy.rho_star, value_name="rho_star"),
-        cost_curve_plot(curves.grid.nodes, curves.d, policy.z0, out / "d.svg"),
-        profile_plot(scenario.omega, out / "wage.svg", "Cost per employee", "currency/year"),
-        profile_plot(policy.rho_star, out / "rho_star.svg", "Optimal age structure", "density"),
+        cost_curve_plot(d_chart, policy.z0, out / "d.svg"),
+        profile_plot(wage_chart, out / "wage.svg", "currency/year"),
+        profile_plot(star_chart, out / "rho_star.svg", "density"),
     ]
     for f in files:
         _emit(args, f"wrote {f}")
@@ -283,12 +289,7 @@ def cmd_validate(args) -> int:
                 f"at age {rep.worst_age:g})",
             )
         else:
-            _emit(
-                args,
-                f"warning: budget positivity assumption fails at age {rep.worst_age:g} "
-                f"(margin {rep.worst_margin:.6g} at dt = {dt:g}); "
-                "entropy diagnostics are observational",
-            )
+            _emit(args, f"warning: {rep.failure()}")
     return 0
 
 

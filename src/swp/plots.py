@@ -177,23 +177,24 @@ def headcount_plot(layout, path: str | Path) -> Path:
     return _render(path, "Headcount", layout, "time (years)", "employees", None)
 
 
-def cost_curve_plot(grid_nodes: np.ndarray, d: np.ndarray, z0: float, path: str | Path) -> Path:
-    """Marginal cost of knowledge with the optimal age marked."""
-    return render_line_chart(
-        path,
-        "Cost of knowledge",
-        [("d(z)", np.asarray(grid_nodes), np.asarray(d))],
-        x_label="hiring age (years)",
-        y_label="cost per knowledge-year",
-        marker_x=z0,
+def cost_curve_layout(grid_nodes: np.ndarray, d: np.ndarray):
+    """Layout of the cost-of-knowledge chart, writing nothing; raises if it cannot be drawn."""
+    return _layout([("d(z)", np.asarray(grid_nodes), np.asarray(d))])
+
+
+def cost_curve_plot(layout, z0: float, path: str | Path) -> Path:
+    """Marginal cost of knowledge with the optimal age marked, from :func:`cost_curve_layout`."""
+    return _render(
+        path, "Cost of knowledge", layout, "hiring age (years)", "cost per knowledge-year", z0
     )
 
 
-def profile_plot(profile: AgeProfile, path: str | Path, title: str, y_label: str = "") -> Path:
-    return render_line_chart(
-        path,
-        title,
-        [(title, profile.grid.nodes, profile.values)],
-        x_label="age (years)",
-        y_label=y_label,
-    )
+def profile_layout(profile: AgeProfile, title: str):
+    """Layout of a one-profile chart, writing nothing; its one series is labelled ``title``."""
+    return _layout([(title, profile.grid.nodes, profile.values)])
+
+
+def profile_plot(layout, path: str | Path, y_label: str = "") -> Path:
+    """One profile over age from its :func:`profile_layout`, titled with the series label."""
+    (title, _, _), = layout[1]
+    return _render(path, title, layout, "age (years)", y_label, None)

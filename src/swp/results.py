@@ -150,6 +150,9 @@ def march(
     is not finite, and a run with any recorded value that is not finite is
     rejected, naming the series and the first step where it fails; when
     several fail first at the same step, the first in ``names`` is named.
+    A finite h < 0 stops the run at once, with the code ``negative-hiring``:
+    while h >= 0 the update keeps the density nonnegative, so h is the first
+    value of a run that can turn negative.
     """
     grid = rho0.grid
     check_dt(dt, grid)
@@ -170,6 +173,9 @@ def march(
             rows.append(row := rate(rho))
             if not (math.isfinite(row[0]) and math.isfinite(row[1])):
                 break
+            if row[1] < 0.0:
+                raise ValidationError(f"{model} run hires negatively: hiring is {row[1]:g} "
+                                      f"at step {k} (t = {k * dt:g})", code="negative-hiring")
             if keep[k]:
                 snaps.append(AgeProfile(grid, rho))
             if k == n_steps:

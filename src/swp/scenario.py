@@ -73,7 +73,7 @@ class Scenario:
     current_hiring: AgeProfile | None
     alpha: float | None
     experience_total: float | None
-    dt: float | None
+    dt: float | None  # the step of a saturating or budget run: the file's, else dz
     t_end: float
     snapshot_every: float | None
     beta: float | None
@@ -90,10 +90,6 @@ class Scenario:
         if self.model != "budget":
             raise ValidationError(f"scenario models {self.model}, not budget")
         return self.params
-
-    def effective_dt(self) -> float:
-        """The step a run uses: the file's dt, or dz when the file does not fix one."""
-        return self.dt if self.dt is not None else self.grid.dz
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -224,7 +220,9 @@ def _build_scenario(doc: dict, base_dir: Path) -> Scenario:
     t_end = _positive(time_block, "t_end", "$.time") or 100.0
     snapshot_every = _positive(time_block, "snapshot_every", "$.time")
 
-    if dt is not None and params is not None:
+    if params is not None:  # a time-stepping model steps with the file's dt, or dz
+        if dt is None:
+            dt = grid.dz
         check_dt(dt, grid)
 
     return Scenario(
@@ -255,8 +253,7 @@ def cfl_margin(scenario: Scenario) -> tuple[float, float]:
     """
     if scenario.params is None:
         raise ValidationError(f"scenario models {scenario.model}, which takes no time steps")
-    dt = scenario.effective_dt()
-    return dt, 1.0 - dt / scenario.grid.dz
+    return scenario.dt, 1.0 - scenario.dt / scenario.grid.dz
 
 
 def _resolve_profile(spec, grid: AgeGrid, base_dir: Path, path: str) -> AgeProfile:

@@ -5,7 +5,6 @@ pytest still enforces every assertion, it just swallows the prints.
 """
 
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +146,7 @@ def test_criterion_05_budget_conservation_long_run():
     drifts = []
     for name in ("bu-a-budget.json", "bu-b-budget.json"):
         sc = swp.load_scenario(SCENARIOS / name)
-        dt = sc.effective_dt()
+        dt = sc.dt
         result = simulate_budget(sc.budget_params(), sc.rho0, dt=dt, t_end=10_000 * dt)
         budget = result.series["budget"]
         drifts.append(float(np.max(np.abs(budget - budget[0])) / budget[0]))
@@ -174,7 +173,7 @@ def test_criterion_06_entropy_decay_and_limit_profile():
     ok = True
     for name in ("bu-a-budget.json", "bu-b-budget.json"):
         sc, params, result = _budget_run(name)
-        assert budget_assumption(params, sc.effective_dt()).holds
+        assert budget_assumption(params, sc.dt).holds
         H = result.series["entropy"]
         monotone = bool(np.all(H[1:] - H[:-1] <= 1e-8 * H[0]))
         family = stationary_family(params, sc.rho0)
@@ -240,11 +239,9 @@ def test_criterion_09_optimum_beats_randomized_structures():
 def _scenario_savings(name):
     sc = swp.load_scenario(SCENARIOS / name)
     curves = optimizer_curves(sc.omega, sc.mu)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        policy = optimal_structure(
-            curves, optimal_hiring_age(curves), KnowledgeConstraint(sc.experience_total)
-        )
+    policy = optimal_structure(
+        curves, optimal_hiring_age(curves), KnowledgeConstraint(sc.experience_total)
+    )
     current = stationary_mixture(curves, sc.current_hiring)
     return policy, policy_savings(current, sc.omega, policy)
 

@@ -1,5 +1,6 @@
 """Budget-conserving model: hiring rate, conservation, stationary family, entropy."""
 
+import re
 import warnings
 
 import numpy as np
@@ -20,7 +21,6 @@ from swp import (
     constant_profile,
     interpolate_profile,
     normalize_distribution,
-    relative_entropy,
     simulate_budget,
     stationary_family,
 )
@@ -300,6 +300,54 @@ class TestBudgetRateOfTheSharedUpdate:
         assert report.worst_margin == pytest.approx(0.3 * 21.0 - 1.0, rel=1e-8)
 
 
+def negative_hiring_step(par, rho, dt):
+    """The step at which a one-step run from rho stops with negative-hiring, else None."""
+    try:
+        one_step(par, rho, dt)
+    except ValidationError as exc:
+        assert exc.code == "negative-hiring"
+        return int(re.search(r"at step (\d+) ", str(exc)).group(1))
+    return None
+
+
+class TestNegativeHiring:
+    def test_rising_cost_run_fails_at_its_first_negative_rate(self):
+        # dz 0.5, mu 0.01, omega = e^{0.08 (z - 20)}, gamma Gaussian at 25 (sd 3), rho0 = 1
+        g = build_grid(20.0, 70.0, 0.5)
+        z = g.nodes
+        par = BudgetParams.build(
+            constant_profile(g, 0.01),
+            normalize_distribution(AgeProfile(g, np.exp(-0.5 * ((z - 25.0) / 3.0) ** 2))),
+            AgeProfile(g, np.exp(0.08 * (z - 20.0))),
+        )
+        assert not budget_assumption(par, g.dz).holds
+        with pytest.raises(ValidationError) as info:
+            simulate_budget(par, constant_profile(g, 1.0), t_end=300.0)
+        assert info.value.code == "negative-hiring"
+        assert re.fullmatch(
+            r"budget run hires negatively: hiring is -\S+ at step 30 \(t = 15\)", str(info.value)
+        )
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_unit_density_fails_at_once_exactly_where_its_margin_is_negative(self, lam):
+        # the first rate of a run from the unit density at node j is the weight c_j,
+        # whose sign the margin at node j carries; the next rate weighs node j + 1
+        verdicts = set()
+        for seed in range(12):
+            par = random_budget_params(seed=seed, hold=seed % 2 == 0)
+            g, dt = par.grid, lam * par.grid.dz
+            report = budget_assumption(par, dt)
+            verdicts.add(report.holds)
+            for j in range(1, g.n + 1):
+                rho = np.zeros(g.n + 1)
+                rho[j] = 1.0
+                step = negative_hiring_step(par, AgeProfile(g, rho), dt)
+                assert (step == 0) == (report.margins[j - 1] < 0.0), (seed, j)
+                if report.holds:
+                    assert step is None
+        assert verdicts == {True, False}
+
+
 class TestStationaryFamily:
     def test_self_scale_is_one(self, grid50):
         par = interior_hiring_params(grid50)
@@ -330,18 +378,19 @@ class TestStationaryFamily:
 
 class TestRelativeEntropy:
     def test_scaled_base_closed_form(self, grid50):
+        # a run from m * base measures its entropy against base: H = m^2 * budget(base)
         par = interior_hiring_params(grid50)
-        fam = stationary_family(par, constant_profile(grid50, 1.0))
-        base = fam.base
+        base = stationary_family(par, constant_profile(grid50, 1.0)).base
         for m in (1.0, 2.5):
             rho = base.with_values(m * base.values)
             expected = m * m * budget_total(base, par)
-            assert relative_entropy(rho, fam, par) == pytest.approx(expected, rel=1e-12)
+            H = one_step(par, rho, grid50.dz).series["entropy"]
+            assert H[0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_state(self, grid50):
         par = interior_hiring_params(grid50)
-        fam = stationary_family(par, constant_profile(grid50, 1.0))
-        assert relative_entropy(constant_profile(grid50, 0.0), fam, par) == 0.0
+        H = one_step(par, constant_profile(grid50, 0.0), grid50.dz).series["entropy"]
+        assert H[0] == 0.0
 
     def test_monotone_along_trajectory(self, grid50):
         par = interior_hiring_params(grid50)

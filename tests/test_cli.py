@@ -1,6 +1,7 @@
 """End-to-end CLI checks: stdout wording, exit codes, files on disk."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -569,6 +570,46 @@ class TestErrorsAndExitCodes:
         assert err.startswith("error[invalid]: series 'P(t)' cannot be plotted")
         assert not out.exists()  # no CSV is written ahead of a chart that fails
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_unplottable_cost_fails_before_optimize_writes(self, capsys, scenarios_dir, tmp_path):
+        doc = json.loads((scenarios_dir / "bu-2-optimize.json").read_text())
+        doc["profiles"]["cost"] = {
+            "piecewise": [[20, 1], [60, 1], [60.25, 1e307], [60.5, 1], [70, 1]]
+        }
+        doc["optimize"]["experience_total"] = 1
+        del doc["profiles"]["current_hiring"]
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(
+                capsys, "optimize", "--scenario", str(write_doc(tmp_path, doc)), "--out", str(out)
+            )
+        assert code == 1
+        assert err.startswith("error[invalid]: series 'Cost per employee' cannot be plotted")
+        assert not out.exists()  # neither d.csv, d.svg nor rho_star.csv is written first
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_negative_hiring_budget_run_exits_1_before_writing(self, capsys, tmp_path):
+        # cost rising 8%/yr against 1% attrition: the hiring rate turns negative at t = 15
+        ages = [20.0 + 0.5 * k for k in range(101)]
+        doc = json.loads(json.dumps(BUDGET_DOC))
+        doc["grid"]["dz"] = 0.5
+        doc["profiles"] = {
+            "attrition": {"constant": 0.01},
+            "hiring": {"piecewise": [[z, math.exp(-0.5 * ((z - 25.0) / 3.0) ** 2)] for z in ages]},
+            "cost": {"piecewise": [[z, math.exp(0.08 * (z - 20.0))] for z in ages]},
+            "initial": {"constant": 1.0},
+        }
+        doc["time"] = {"t_end": 300.0}
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, "simulate", "--scenario", str(write_doc(tmp_path, doc)), "--out", str(out)
+        )
+        assert code == 1
+        assert err.startswith("error[negative-hiring]: budget run hires negatively: hiring is -")
+        assert "at step 30 (t = 15)" in err
+        assert "wrote" not in stdout
+        assert not out.exists()
 
     def test_non_finite_saturating_run_exits_1_before_writing(
         self, capsys, scenarios_dir, tmp_path

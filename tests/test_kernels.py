@@ -125,11 +125,19 @@ def test_saturating_update_matches_expression(n, a):
         assert np.array_equal(bits(out), bits(reference(rho, a)))
 
 
+TERMS = ("headcount", "attrition", "retirement", "aging", "budget")
+
+
+def fused(par, dt, base):
+    """The row a budget run records per step, as a dict over ``budget._SERIES``."""
+    row = budget._reductions(par, dt, base)
+    return lambda rho: dict(zip(budget._SERIES, row(rho)))
+
+
 def sums_without_entropy(par, dt, rho):
-    """(headcount, attrition, retirement, aging, budget total) of the fused functional."""
-    base = steady_shape(par.mu, par.gamma)
-    P, attrition, retirement, aging, total, _ = budget._reductions(par, dt, base)(rho)
-    return P, attrition, retirement, aging, total
+    """(headcount, attrition, retirement, aging, budget total) of the fused row."""
+    got = fused(par, dt, steady_shape(par.mu, par.gamma))(rho)
+    return tuple(got[key] for key in TERMS)
 
 
 def reference_sums(par, dt, rho):
@@ -141,10 +149,11 @@ def test_hiring_terms_and_budget_total_match_expressions(n):
     rng, g, mu, gamma, omega = random_profiles(n, seed=n + 2)
     par = BudgetParams.build(mu, gamma, omega)
     for dt in (0.5 * g.dz, g.dz):
-        sums = budget._reductions(par, dt, steady_shape(mu, gamma))
+        sums = fused(par, dt, steady_shape(mu, gamma))
         for _ in range(3):  # the output and scratch arrays are reused across calls
             rho = random_state(rng, n)
-            assert close(sums(rho)[:5], reference_sums(par, dt, rho))
+            got = sums(rho)
+            assert close([got[key] for key in TERMS], reference_sums(par, dt, rho))
 
 
 def test_hiring_terms_and_budget_total_on_exact_zeros():
@@ -167,8 +176,8 @@ def roadmap_support_case():
 
 
 def entropy_of(par, base):
-    sums = budget._reductions(par, par.grid.dz, base)
-    return lambda rho: sums(rho)[-1]
+    sums = fused(par, par.grid.dz, base)
+    return lambda rho: sums(rho)["entropy"]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -227,7 +236,7 @@ def reference_simulate_budget(par, rho0, dt, t_end, snapshot_every):
 
 def bundled_budget_run(name):
     sc = load_scenario(SCENARIOS / f"{name}.json")
-    return sc.budget_params(), sc.rho0, sc.effective_dt(), sc.t_end
+    return sc.budget_params(), sc.rho0, sc.dt, sc.t_end
 
 
 @pytest.mark.parametrize("name", ["bu-a-budget", "bu-b-budget"])
@@ -277,11 +286,10 @@ def plain_loop(sc, dt, n_steps):
     rho[0] = 0.0
     if sc.model == "budget":
         par = sc.budget_params()
-        sums = budget._reductions(par, dt, steady_shape(par.mu, par.gamma))
+        row = budget._reductions(par, dt, steady_shape(par.mu, par.gamma))
 
         def rate(rho):
-            P, attrition, retirement, aging, _, _ = sums(rho)
-            return P, attrition + retirement + aging
+            return row(rho)[:2]
     else:
         par = sc.saturating_params()
 
@@ -300,7 +308,7 @@ def plain_loop(sc, dt, n_steps):
 @pytest.mark.parametrize("name", ["bu-a-budget", "bu-a-saturating"])
 def test_run_equals_step_loop_bitwise(name):
     sc = load_scenario(SCENARIOS / f"{name}.json")
-    dt = sc.effective_dt()
+    dt = sc.dt
     if sc.model == "budget":
         res = simulate_budget(sc.budget_params(), sc.rho0, dt=dt, t_end=sc.t_end, snapshot_every=dt)
     else:

@@ -16,7 +16,9 @@ from swp.plots import (
     WIDTH,
     _fmt,
     _scale,
+    cost_curve_layout,
     cost_curve_plot,
+    profile_layout,
     profile_plot,
     render_line_chart,
     x_to_px,
@@ -57,7 +59,7 @@ def test_decaying_series_has_increasing_pixel_y(tmp_path):
 def test_marker_lands_at_scaled_age(tmp_path):
     g = build_grid(20.0, 70.0, 0.5)
     d = 500.0 + (g.nodes - 53.5) ** 2
-    p = cost_curve_plot(g.nodes, d, 53.5, tmp_path / "m.svg")
+    p = cost_curve_plot(cost_curve_layout(g.nodes, d), 53.5, tmp_path / "m.svg")
     text = p.read_text()
     m = re.search(r'<line class="marker" x1="([0-9.]+)"', text)
     assert m is not None
@@ -83,7 +85,8 @@ def test_polyline_points_match_per_point_fmt(tmp_path):
 
 def test_svg_is_well_formed_with_fixed_viewport(tmp_path):
     g = build_grid(20.0, 70.0, 1.0)
-    p = profile_plot(constant_profile(g, 3.0), tmp_path / "w.svg", "T <sub> & more", "y")
+    layout = profile_layout(constant_profile(g, 3.0), "T <sub> & more")
+    p = profile_plot(layout, tmp_path / "w.svg", "y")
     doc = minidom.parseString(p.read_text())
     svg = doc.documentElement
     assert svg.tagName == "svg"
@@ -129,6 +132,47 @@ def test_simulate_lays_out_each_chart_once(tmp_path, monkeypatch, scenarios_dir)
             "--out", str(tmp_path), "--quiet"]
     assert main(argv) == 0
     assert calls == [["P(t)"], ["initial", "final"]]
+
+
+@pytest.mark.parametrize("command, name, labels", [
+    ("optimize", "bu-2-optimize", [["d(z)"], ["Cost per employee"], ["Optimal age structure"]]),
+    ("equilibrium", "bu-a-saturating", [["Equilibrium age structure"]]),
+])
+def test_optimize_and_equilibrium_lay_out_each_chart_once(
+    tmp_path, monkeypatch, scenarios_dir, command, name, labels
+):
+    from swp import plots
+    from swp.cli import main
+
+    calls = []
+    layout = plots._layout
+
+    def counting(series):
+        calls.append([label for label, _, _ in series])
+        return layout(series)
+
+    monkeypatch.setattr(plots, "_layout", counting)
+    argv = [command, "--scenario", str(scenarios_dir / f"{name}.json"),
+            "--out", str(tmp_path), "--quiet"]
+    assert main(argv) == 0
+    assert calls == labels
+
+
+def test_profile_and_cost_charts_from_layouts_match_render_line_chart(tmp_path):
+    g = build_grid(20.0, 70.0, 0.5)
+    d = 500.0 + (g.nodes - 53.5) ** 2
+    wage = constant_profile(g, 3.0).with_values(1.0 + g.nodes)
+    pairs = [
+        (cost_curve_plot(cost_curve_layout(g.nodes, d), 53.5, tmp_path / "d.svg"),
+         render_line_chart(tmp_path / "d0.svg", "Cost of knowledge", [("d(z)", g.nodes, d)],
+                           x_label="hiring age (years)", y_label="cost per knowledge-year",
+                           marker_x=53.5)),
+        (profile_plot(profile_layout(wage, "Wage"), tmp_path / "w.svg", "currency/year"),
+         render_line_chart(tmp_path / "w0.svg", "Wage", [("Wage", g.nodes, wage.values)],
+                           x_label="age (years)", y_label="currency/year")),
+    ]
+    for got, want in pairs:
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_charts_from_checked_layouts_match_render_line_chart(tmp_path, scenarios_dir):

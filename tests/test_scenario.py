@@ -99,8 +99,7 @@ class TestFrozenScenarios:
 
     def test_default_time_step_budget(self, scenarios_dir):
         sc = load_scenario(scenarios_dir / "bu-b-budget.json")
-        assert sc.dt is None
-        assert sc.effective_dt() == 0.5
+        assert sc.dt == 0.5  # the file fixes none: dz
 
     def test_cfl_margin_budget(self, scenarios_dir):
         sc = load_scenario(scenarios_dir / "bu-a-budget.json")
@@ -128,7 +127,7 @@ class TestFrozenScenarios:
         doc = doc_budget()
         sc = scenario_from_dict(doc)
         assert sc.t_end == 100.0
-        assert sc.dt is None
+        assert sc.dt == sc.grid.dz == 1.0
         assert sc.snapshot_every is None
 
 
