@@ -30,10 +30,10 @@ keeps a nonnegative density nonnegative whenever every c_j >= 0 on nodes
 omega_j (1 + mu_{j+1} dz) >= omega_{j+1}, and as dt -> 0 it tends to the
 continuous mu*omega >= omega'.
 
-One helper, :func:`_weights`, builds the c_j; the run (:func:`_reductions`)
-and the positivity verdict (:func:`budget_assumption`) both take them from
-it.  Per step, one matrix-vector product gives the headcount, the attrition
-and aging terms of h and the budget, and one dot the relative entropy; these
+The positivity verdict (:func:`budget_assumption`) builds the c_j and the
+report carries them; a run takes that report first and steps with them.
+Per step, one matrix-vector product gives the headcount, the attrition and
+aging terms of h and the budget, and one dot the relative entropy; these
 match the nodal sums above to rounding, not bit for bit.
 """
 
@@ -64,7 +64,8 @@ class BudgetAssumptionReport:
     """Sign of the budget hiring rate's weights on nodes 1..n at step ``dt``.
 
     ``margins`` holds each weight c_j in the unit of mu*omega - omega':
-    c_j K / dz = mu_j wt_j - wt'_j (see the module docstring).
+    c_j K / dz = mu_j wt_j - wt'_j (see the module docstring); a run at ``dt``
+    steps with the rate's rows ``attrition``, ``aging`` and ``retirement``.
     """
 
     holds: bool
@@ -72,6 +73,9 @@ class BudgetAssumptionReport:
     worst_margin: float
     dt: float
     margins: np.ndarray = field(repr=False, compare=False)
+    attrition: np.ndarray = field(repr=False, compare=False)
+    aging: np.ndarray = field(repr=False, compare=False)
+    retirement: float = field(repr=False, compare=False)
 
     def failure(self) -> str:
         """The sentence that states a failed verdict."""
@@ -112,11 +116,14 @@ class BudgetParams:
         return BudgetParams(mu, gamma, omega)
 
 
-def _weights(params: BudgetParams, dt: float):
-    """(attrition row, aging row, retirement weight, K) of the hiring rate at step dt.
+def budget_assumption(params: BudgetParams, dt: float) -> BudgetAssumptionReport:
+    """Whether the hiring rate's weights c_j are >= 0 on nodes 1..n at step dt.
 
-    With wt = omega / (1 + mu dt): dz mu wt / K on nodes 1..n, -dz wt' / K on
-    nodes 1..n-1 and wt_n / K, so h = attrition.rho + weight rho_n + aging.rho.
+    With them, and dt <= dz, a run keeps a nonnegative density nonnegative
+    and its relative entropy is expected to decay.  Each margin is c_j K / dz,
+    summed as the run sums h, so it has the sign of the rate of a unit
+    density at its node.  The rate's rows are the three terms of h_k in the
+    module docstring over K: h = attrition.rho + aging.rho + retirement rho_n.
     """
     mu, dz = params.mu.values, params.grid.dz
     wt = params.omega.values / (1.0 + mu * dt)
@@ -125,21 +132,10 @@ def _weights(params: BudgetParams, dt: float):
     attrition[1:] = mu[1:] * wt[1:] * (dz / cost)
     aging = np.zeros_like(wt)
     aging[1:-1] = (wt[2:] - wt[1:-1]) * (-1.0 / cost)
-    return attrition, aging, float(wt[-1]) / cost, cost
-
-
-def budget_assumption(params: BudgetParams, dt: float) -> BudgetAssumptionReport:
-    """Whether the hiring rate's weights c_j are >= 0 on nodes 1..n at step dt.
-
-    With them, and dt <= dz, a run keeps a nonnegative density nonnegative
-    and its relative entropy is expected to decay.  Each margin is c_j K / dz,
-    summed as the run sums h, so it has the sign of the rate of a unit
-    density at its node.
-    """
-    attrition, aging, retire, cost = _weights(params, dt)
+    retire = float(wt[-1]) / cost
     margins = attrition[1:] + aging[1:]  # aging is 0 at node n
     margins[-1] += retire
-    margins *= cost / params.grid.dz
+    margins *= cost / dz
     worst = int(np.argmin(margins))
     return BudgetAssumptionReport(
         holds=bool(margins[worst] >= 0.0),
@@ -147,6 +143,9 @@ def budget_assumption(params: BudgetParams, dt: float) -> BudgetAssumptionReport
         worst_margin=float(margins[worst]),
         dt=dt,
         margins=margins,
+        attrition=attrition,
+        aging=aging,
+        retirement=retire,
     )
 
 
@@ -155,19 +154,19 @@ def budget_total(rho: AgeProfile, params: BudgetParams) -> float:
     return float((params.omega.values[1:] * rho.values[1:]).sum() * params.grid.dz)
 
 
-def _reductions(params: BudgetParams, dt: float, base: AgeProfile):
+def _reductions(params: BudgetParams, report: BudgetAssumptionReport, base: AgeProfile):
     """``row(rho)``: the scalars a budget run records per step, in ``_SERIES`` order.
 
-    The hiring rate is attrition + retirement + aging.  One product with the
-    rows headcount, attrition and aging (:func:`_weights`) and budget gives
-    four of them; the relative entropy against ``base`` is one dot with
-    v = omega dz / base on nodes 1..n where the base is positive, 0 elsewhere.
+    The hiring rate is attrition + retirement + aging, with the rows the
+    positivity ``report`` carries.  One product with the rows headcount,
+    attrition, aging and budget gives four of them; the relative entropy
+    against ``base`` is one dot with v = omega dz / base on nodes 1..n where
+    the base is positive, 0 elsewhere.
     """
     grid, w, b = params.grid, params.omega.values, base.values
-    attrition, aging, retire, _ = _weights(params, dt)
     weights = np.zeros((4, grid.n + 1))
     weights[0, :-1] = grid.dz
-    weights[1:3] = attrition, aging
+    weights[1:3] = report.attrition, report.aging
     weights[3, 1:] = w[1:] * grid.dz
     v = np.zeros(grid.n + 1)
     support = b > 0.0
@@ -178,7 +177,7 @@ def _reductions(params: BudgetParams, dt: float, base: AgeProfile):
 
     def row(rho: np.ndarray) -> tuple[float, ...]:
         P, attrition, aging, total = np.matmul(weights, rho, out=out).tolist()
-        retirement = retire * float(rho[-1])
+        retirement = report.retirement * float(rho[-1])
         entropy = float(np.dot(np.multiply(rho, v, out=scratch), rho))
         return P, attrition + retirement + aging, total, entropy, attrition, retirement, aging
 
@@ -230,11 +229,11 @@ def simulate_budget(
     if dt is None:
         dt = params.grid.dz
     check_dt(dt, params.grid)  # before the rate's weights, which assume a valid step
-    row = _reductions(params, dt, stationary_family(params, rho0).base)
+    report = budget_assumption(params, dt)
+    row = _reductions(params, report, stationary_family(params, rho0).base)
     result = march(
         "budget", rho0, dt, t_end, snapshot_every, params.mu, params.gamma, row, _SERIES
     )
-    report = budget_assumption(params, dt)
     if report.holds:
         return result
     return replace(result, notes=(report.failure(),))

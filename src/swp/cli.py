@@ -154,10 +154,11 @@ def _load(args, models: tuple[str, ...]) -> tuple[Scenario, Path]:
 
 def cmd_equilibrium(args) -> int:
     scenario, out = _load(args, ("saturating",))
-    report = equilibria(scenario.saturating_params())
-    _emit(args, f"beta = {report.beta:.6g}")
+    params = scenario.saturating_params()
+    report = equilibria(params)
+    _emit(args, f"beta = {scenario.beta:.6g}")
     _emit(args, f"beta_h = {report.beta_h:.6g}")
-    _emit(args, f"alpha = {report.alpha:.6g}")
+    _emit(args, f"alpha = {params.alpha:.6g}")
     _emit(args, f"P_eq = {report.p_eq:g}, regime = {report.regime.value}")
     chart = profile_layout(report.rho_eq, "Equilibrium age structure")  # fails before any file
     _made(out)

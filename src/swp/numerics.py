@@ -26,6 +26,7 @@ from .errors import GridError, ValidationError
 
 # Tolerance for "the span is an integer number of cells" at build time.
 _SPAN_RESIDUAL = 1e-9
+_MASS_TOL = 1e-8  # on the unit mass of a hiring distribution
 
 
 @dataclass(frozen=True)
@@ -200,12 +201,16 @@ def steady_shape(mu: AgeProfile, gamma: AgeProfile) -> AgeProfile:
         D_j = S_j * sum_{i=1..j} dz * q_i / S_{i-1}.
     """
     _same_grid(mu, gamma)
-    log_s = log_survival(mu)
+    return _steady_shape(log_survival(mu), gamma)
+
+
+def _steady_shape(log_s: np.ndarray, gamma: AgeProfile) -> AgeProfile:
+    """:func:`steady_shape` of ``gamma`` against the log survival ``log_s`` it is given."""
     with np.errstate(divide="ignore"):
-        log_in = np.log(hire_source(gamma.values) * mu.grid.dz) - log_s[:-1]
-    D = np.zeros(mu.grid.n + 1)
+        log_in = np.log(hire_source(gamma.values) * gamma.grid.dz) - log_s[:-1]
+    D = np.zeros(gamma.grid.n + 1)
     D[1:] = np.exp(log_s[1:] + np.logaddexp.accumulate(log_in))
-    return AgeProfile(mu.grid, D)
+    return gamma.with_values(D)
 
 
 def _same_grid(p: AgeProfile, q: AgeProfile) -> None:
@@ -213,12 +218,12 @@ def _same_grid(p: AgeProfile, q: AgeProfile) -> None:
         raise ValidationError("profiles live on different grids")
 
 
-def require_normalized(gamma: AgeProfile, *, tol: float = 1e-8) -> None:
+def require_normalized(gamma: AgeProfile) -> None:
     """Reject hiring distributions that do not integrate to one."""
     total = integrate(gamma)
     if np.any(gamma.values < 0):
         raise ValidationError("hiring distribution has negative entries")
-    if not math.isfinite(total) or abs(total - 1.0) > tol:
+    if not math.isfinite(total) or abs(total - 1.0) > _MASS_TOL:
         raise ValidationError(
             f"hiring distribution must integrate to 1 (got {total:.12g}); "
             "normalize it first"

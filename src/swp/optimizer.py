@@ -15,7 +15,9 @@ cell, so node 0 takes node 1's values and d(z_min) = d(z_min + dz): an
 entry-age optimum is a tie.  The optimal hiring age z0 minimizes d (ties
 resolved toward the youngest age); the optimal structure is
 rho*_j = b * S_j / S_{j0-1} for j >= j0 with b = E / g(z0), the scheme's fixed
-point for hiring at rate b, at total cost C = E * d(z0).
+point for hiring at rate b, at total cost C = E * d(z0).  The curves keep the
+log S their tails were summed against, and the optimal structure and any
+stationary mixture are fixed points against that same S.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import AgeGrid, AgeProfile, log_survival, steady_shape, _log_tail, _same_grid
+from .numerics import AgeGrid, AgeProfile, log_survival, _log_tail, _same_grid, _steady_shape
 
 # Relative slack when hunting for tied minima of d (pure float noise).
 _TIE_REL = 1e-12
@@ -54,17 +56,17 @@ class KnowledgeConstraint:
 
 @dataclass(frozen=True)
 class OptimizerCurves:
-    """Tail sums f, g and the marginal cost d = f/g, with the attrition they use."""
+    """Tail sums f, g and marginal cost d = f/g, with the log survival they sum against."""
 
     grid: AgeGrid
     wage: AgeProfile
-    mu: AgeProfile
+    log_s: np.ndarray = field(repr=False)
     f: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
     d: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("f", "g", "d"):
+        for name in ("log_s", "f", "g", "d"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -90,7 +92,7 @@ def optimizer_curves(wage: AgeProfile, mu: AgeProfile) -> OptimizerCurves:
     g = grid.dz * np.exp(_log_tail(grid.nodes[:-1], log_s)[i] - log_s[i - 1])
     # d(z_max) is the limit of f/g as the tail shrinks
     d = np.append(f[:-1] / g[:-1], wage.values[-1] / grid.z_max)
-    return OptimizerCurves(grid, wage, mu, f, g, d)
+    return OptimizerCurves(grid, wage, log_s, f, g, d)
 
 
 def _min_candidates(curves: OptimizerCurves) -> np.ndarray:
@@ -140,7 +142,7 @@ def optimal_structure(
     b = constraint.total / g0
     hire = np.zeros(grid.n + 1)
     hire[j_support] = 1.0 / grid.dz
-    rho_star = steady_shape(curves.mu, AgeProfile(grid, b * hire))
+    rho_star = _steady_shape(curves.log_s, AgeProfile(grid, b * hire))
 
     cost = float(constraint.total) * float(curves.d[j0])
     if not math.isfinite(cost):
@@ -172,7 +174,7 @@ def stationary_mixture(curves: OptimizerCurves, hire_density: AgeProfile) -> Age
     _same_grid(curves.wage, hire_density)
     if np.any(hire_density.values < 0):
         raise ValidationError("hiring density has negative entries")
-    return steady_shape(curves.mu, hire_density)
+    return _steady_shape(curves.log_s, hire_density)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import AgeGrid, AgeProfile
+from .numerics import AgeProfile
 from .results import SimulationResult
 
 __all__ = [
@@ -104,8 +104,8 @@ def write_timeseries(result: SimulationResult, out_dir: str | Path) -> list[Path
     Always: ``headcount.csv`` and ``hiring.csv`` (with the three-term
     decomposition for budget runs) plus one ``profile_t<time>.csv`` per
     snapshot.  Budget runs add ``budget.csv`` and ``entropy.csv``.  The
-    time column and each grid's age column are formatted once and shared
-    by every file that carries them.
+    time column and the age column are formatted once and shared by every
+    file that carries them.
     """
     snap_names = [_snapshot_name(float(t)) for t in result.snapshot_times]
     if len(set(snap_names)) != len(snap_names):
@@ -126,12 +126,9 @@ def write_timeseries(result: SimulationResult, out_dir: str | Path) -> list[Path
             files.append(_write_cells(out / file_name, names, cells))
     del t_cells  # hold one shared column at a time: it bounds peak memory
 
-    z_cells: dict[AgeGrid, list[str]] = {}
+    z_cells = list(_cells(result.grid.nodes))  # every snapshot lies on the run's grid
     for file_name, snap in zip(snap_names, result.snapshots):
-        if snap.grid not in z_cells:
-            z_cells[snap.grid] = list(_cells(snap.grid.nodes))
-        cells = [z_cells[snap.grid], _cells(snap.values)]
-        files.append(_write_cells(out / file_name, ["z", "rho"], cells))
+        files.append(_write_cells(out / file_name, ["z", "rho"], [z_cells, _cells(snap.values)]))
     return files
 
 

@@ -24,7 +24,8 @@ shape D_j = S_j * sum_{i<=j} dz * gamma_i / S_{i-1} over the cohort survival
 S (:func:`swp.numerics.steady_shape`).  A positive equilibrium exists exactly
 when beta_h > 1, with P_eq = sqrt((beta_h - 1) / alpha).  Its continuous
 limit is the recruitment index beta, the expected discounted tenure of one
-hire; beta - beta_h is O(dz).
+hire; beta - beta_h is O(dz).  An equilibrium report holds beta_h and P_eq:
+beta is :func:`recruitment_index` (``Scenario.beta``), alpha ``params.alpha``.
 """
 
 from __future__ import annotations
@@ -130,9 +131,7 @@ def calibrate_alpha(beta: float, p_eq_target: float) -> float:
 class EquilibriumReport:
     """Equilibria of the saturating model for one parameter set."""
 
-    beta: float    # recruitment index, the continuous limit of beta_h
     beta_h: float  # headcount unit hiring sustains in the scheme
-    alpha: float
     p_eq: float
     rho_eq: AgeProfile
     regime: Regime
@@ -146,15 +145,14 @@ def equilibria(params: SaturatingParams) -> EquilibriumReport:
     the stationary hiring shape D scaled by a(P_eq) = P_eq / beta_h: the
     fixed point of the scheme.
     """
-    beta = recruitment_index(params.mu, params.gamma)
     shape = steady_shape(params.mu, params.gamma)
     beta_h = integrate(shape)
     if beta_h <= 1.0:
         zero = AgeProfile(params.grid, np.zeros(params.grid.n + 1))
-        return EquilibriumReport(beta, beta_h, params.alpha, 0.0, zero, Regime.EXTINCTION_ONLY)
+        return EquilibriumReport(beta_h, 0.0, zero, Regime.EXTINCTION_ONLY)
     p_eq = math.sqrt((beta_h - 1.0) / params.alpha)
     rho_eq = shape.with_values(shape.values * (p_eq / beta_h))
-    return EquilibriumReport(beta, beta_h, params.alpha, p_eq, rho_eq, Regime.BISTABLE)
+    return EquilibriumReport(beta_h, p_eq, rho_eq, Regime.BISTABLE)
 
 
 def hiring_response(params: SaturatingParams, headcount: float) -> float:

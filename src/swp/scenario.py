@@ -71,7 +71,6 @@ class Scenario:
     omega: AgeProfile | None
     rho0: AgeProfile | None
     current_hiring: AgeProfile | None
-    alpha: float | None
     experience_total: float | None
     dt: float | None  # the step of a saturating or budget run: the file's, else dz
     t_end: float
@@ -172,7 +171,6 @@ def _build_scenario(doc: dict, base_dir: Path) -> Scenario:
             notices.append(f"hiring profile mass {raw_mass:.6g} normalized to 1")
         gamma = normalize_distribution(gamma)
 
-    alpha: float | None = None
     beta: float | None = None
     params: SaturatingParams | BudgetParams | None = None
     experience_total: float | None = None
@@ -234,7 +232,6 @@ def _build_scenario(doc: dict, base_dir: Path) -> Scenario:
         omega=omega,
         rho0=rho0,
         current_hiring=current_hiring,
-        alpha=alpha,
         experience_total=experience_total,
         dt=dt,
         t_end=t_end,

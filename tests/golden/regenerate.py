@@ -1,12 +1,20 @@
-"""Record the same-bytes oracle: every subcommand on every bundled scenario.
+"""Record the golden oracle: every subcommand on every bundled scenario.
 
 Runs ``swp.cli.main`` in-process for the 4 subcommands x the bundled
-scenarios and stores, per call, the exit code and a sha256 of stdout, of
-stderr and of every file written, in ``tests/golden/cli.json``.  The record
-also names what the float bits depend on (:func:`platform`): the numpy
-version, the CPU features numpy dispatches its ``exp``/``log`` loops on,
-and the OpenBLAS kernel that computes the budget model's per-step sums.  ``tests/test_golden.py`` replays the same calls
-and compares.  A change that moves output on purpose regenerates the record:
+scenarios and stores two tiers per call in ``tests/golden/cli.json``:
+
+- bytes: the exit code and a sha256 of stdout, of stderr and of every file
+  written.  The record also names what the float bits depend on
+  (:func:`platform`): the numpy version, the CPU features numpy dispatches
+  its ``exp``/``log`` loops on, and the OpenBLAS kernel that computes the
+  budget model's per-step sums.
+- ``portable``: the exit code, the stdout and stderr text, and per CSV its
+  header, its row count and per column the ``repr`` of min, max, sum, sum of
+  absolute values, first and last cell (:func:`csv_digest`), which hold to
+  rounding under any numpy, CPU and BLAS.
+
+``tests/test_golden.py`` replays the same calls and compares.  A change that
+moves output on purpose regenerates the record:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 """
@@ -18,6 +26,7 @@ import ctypes
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 import warnings
@@ -41,7 +50,7 @@ def _sha(data: bytes) -> str:
 
 
 def run_call(command: str, scenario: str) -> dict:
-    """Exit code and hashes of one call; the output directory reads as ``<out>``."""
+    """Both tiers of one call; the output directory reads as ``<out>``."""
     from swp.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -59,17 +68,44 @@ def run_call(command: str, scenario: str) -> dict:
             f"{w.category.__name__}: {w.message}\n" for w in caught
         )
 
-        def normalized(text: str) -> bytes:
-            return text.replace(str(out), "<out>").encode()
+        def normalized(text: str) -> str:
+            return text.replace(str(out), "<out>")
 
-        files = {}
-        if out.is_dir():
-            files = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
+        written = sorted(out.iterdir()) if out.is_dir() else []
+        files = {p.name: _sha(p.read_bytes()) for p in written}
+        tables = {p.name: csv_digest(p.read_text()) for p in written if p.suffix == ".csv"}
+    text = {"stdout": normalized(stdout.getvalue()), "stderr": normalized(err)}
     return {
         "exit": code,
-        "stdout": _sha(normalized(stdout.getvalue())),
-        "stderr": _sha(normalized(err)),
+        **{key: _sha(value.encode()) for key, value in text.items()},
         "files": files,
+        "portable": {"exit": code, **text, "csv": tables},
+    }
+
+
+def csv_digest(text: str) -> dict:
+    """Header, row count and per-column digests of one CSV the CLI wrote.
+
+    Sums are taken with ``math.fsum``, so the digest of given cells does not
+    depend on the platform; every number is kept as its ``repr``.
+    """
+    header, *rows = text.splitlines()
+    names = header.split(",")
+    columns = zip(*([float(cell) for cell in row.split(",")] for row in rows))
+    return {
+        "header": names,
+        "rows": len(rows),
+        "columns": {
+            name: {
+                "min": repr(min(col)),
+                "max": repr(max(col)),
+                "sum": repr(math.fsum(col)),
+                "sum_abs": repr(math.fsum(map(abs, col))),
+                "first": repr(col[0]),
+                "last": repr(col[-1]),
+            }
+            for name, col in zip(names, columns)
+        },
     }
 
 

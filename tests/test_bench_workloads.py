@@ -1,10 +1,15 @@
-"""The benchmark's rejected step-size calls stay rejected under the one bound dt <= dz.
+"""What the benchmark's generated calls do: rejected steps and negative hiring.
 
 ``bench/workloads.py`` draws a ``cfl-budget`` and a ``cfl-saturating`` call
 among its rejected inputs and expects each to end with ``error[cfl]``.  The
 budget variant draws dt = 1.2 dz / (1 + dz max mu), which exceeds dz only
 while dz max mu < 0.2.  This reads the generator, without changing it, and
 checks every such draw over one full rotation of its rejected kinds.
+
+Some seeds draw a ``bu-b`` budget scenario whose positivity assumption fails
+and whose run hires negatively.  For one such draw per workload and grid,
+``validate`` states the failed verdict, and ``simulate`` stops with
+``error[negative-hiring]`` at the first negative step and writes nothing.
 """
 
 import importlib.util
@@ -51,3 +56,32 @@ def test_every_cfl_draw_exceeds_dz_and_is_rejected(name, tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error[cfl]: time step"), err
     assert models == {"budget", "saturating"}
+
+
+# (workload, seed, cycle, dz, age of the failed verdict, step and t where hiring turns negative)
+NEGATIVE_HIRING = (
+    ("fine-grid", 32, 11, 0.01, "34.99", 1438, "12.942"),
+    ("snapshot-dense", 32, 11, 0.1, "35", 264, "13.2"),
+    ("sweep", 19, 77, 1.0, "35", 22, "11"),
+    ("sweep", 36, 63, 0.5, "35", 50, "12.5"),
+    ("sweep", 11, 75, 0.25, "35", 104, "13"),
+)
+
+
+@pytest.mark.parametrize("name,seed,cycle,dz,age,step,t", NEGATIVE_HIRING)
+def test_draws_that_hire_negatively_stop_loudly(
+    name, seed, cycle, dz, age, step, t, tmp_path, capsys
+):
+    calls = workloads.make_cycle(
+        workloads.WORKLOADS[name], seed, cycle, tmp_path / "work", tmp_path / "out"
+    )
+    (call,) = [c for c in calls if c.kind == "simulate_budget" and c.dz == dz]
+    scenario = call.argv[call.argv.index("--scenario") + 1]
+    assert main(["validate", "--scenario", scenario]) == 0
+    out = capsys.readouterr().out
+    assert f"warning: budget positivity assumption fails at age {age} (margin " in out, out
+    assert main(call.argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[negative-hiring]: budget run hires negatively: hiring is -"), err
+    assert err.rstrip().endswith(f"at step {step} (t = {t})"), err
+    assert not call.out.exists()

@@ -130,7 +130,7 @@ TERMS = ("headcount", "attrition", "retirement", "aging", "budget")
 
 def fused(par, dt, base):
     """The row a budget run records per step, as a dict over ``budget._SERIES``."""
-    row = budget._reductions(par, dt, base)
+    row = budget._reductions(par, budget.budget_assumption(par, dt), base)
     return lambda rho: dict(zip(budget._SERIES, row(rho)))
 
 
@@ -286,7 +286,9 @@ def plain_loop(sc, dt, n_steps):
     rho[0] = 0.0
     if sc.model == "budget":
         par = sc.budget_params()
-        row = budget._reductions(par, dt, steady_shape(par.mu, par.gamma))
+        row = budget._reductions(
+            par, budget.budget_assumption(par, dt), steady_shape(par.mu, par.gamma)
+        )
 
         def rate(rho):
             return row(rho)[:2]

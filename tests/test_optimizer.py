@@ -45,7 +45,7 @@ class TestOptimizerCurves:
             constant_profile(g, 0.3),
         )
         # f and g are tails of w*S and z*S divided by S_{i-1}; the tails shrink
-        s_prev = np.exp(swp.log_survival(curves.mu)[:-1])
+        s_prev = np.exp(curves.log_s[:-1])
         assert np.all(np.diff(curves.f[1:] * s_prev) <= 0.0)
         assert np.all(np.diff(curves.g[1:] * s_prev) <= 0.0)
 

@@ -149,7 +149,7 @@ class TestEquilibria:
             swp.interpolate_profile(grid50, [20, 21, 23, 24, 70], [0, 1, 1, 0, 0])
         )
         report = equilibria(SaturatingParams.build(1e-4, mu, gam))
-        assert report.beta > 1.0 >= report.beta_h
+        assert recruitment_index(mu, gam) > 1.0 >= report.beta_h
         assert report.beta_h == pytest.approx(1.0 / 1.02, rel=1e-12)
         assert report.regime is Regime.EXTINCTION_ONLY
         assert report.p_eq == 0.0

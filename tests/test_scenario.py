@@ -73,7 +73,7 @@ class TestFrozenScenarios:
     def test_calibrated_alpha_and_beta(self, scenarios_dir):
         sc = load_scenario(scenarios_dir / "bu-a-saturating.json")
         assert sc.beta == pytest.approx(25.260858509190122, rel=1e-13)
-        assert sc.alpha == pytest.approx(2.399665799941284e-05, rel=1e-13)
+        assert sc.saturating_params().alpha == pytest.approx(2.399665799941284e-05, rel=1e-13)
         assert sc.model == "saturating"
 
     def test_notices(self, scenarios_dir):
