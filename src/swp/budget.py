@@ -48,7 +48,7 @@ from .numerics import (
     AgeGrid,
     AgeProfile,
     hire_source,
-    require_nonnegative_attrition,
+    require_nonnegative,
     require_normalized,
     steady_shape,
     _same_grid,
@@ -103,11 +103,10 @@ class BudgetParams:
         _same_grid(mu, gamma)
         _same_grid(mu, omega)
         require_normalized(gamma)
-        if np.any(omega.values < 0):
-            raise ValidationError("cost profile has negative entries")
+        require_nonnegative(omega, "cost profile")
         if omega.values[-1] <= 0:
             raise ValidationError("cost profile must be positive at the retirement age")
-        require_nonnegative_attrition(mu)
+        require_nonnegative(mu, "attrition rate")
         # K > 0 at every step size exactly when the hires carry cost at dt = 0
         if not (omega.values[1:] * hire_source(gamma.values)).sum() > 0:
             raise DegenerateScenarioError(

@@ -115,21 +115,19 @@ def l1_distance(p: AgeProfile, q: AgeProfile) -> float:
 
 def normalize_distribution(p: AgeProfile) -> AgeProfile:
     """Rescale a nonnegative profile to unit integral."""
-    if np.any(p.values < 0):
-        raise ValidationError("distribution has negative entries")
+    require_nonnegative(p, "distribution")
     total = integrate(p)
     if total <= 0.0:
         raise ValidationError("distribution has zero mass; cannot normalize")
     return p.with_values(p.values / total)
 
 
-def require_nonnegative_attrition(mu: AgeProfile) -> None:
-    """Reject attrition profiles with a negative rate, naming the worst age."""
-    if np.any(mu.values < 0):
-        worst = int(np.argmin(mu.values))
+def require_nonnegative(p: AgeProfile, what: str) -> None:
+    """Reject a profile with a negative value, naming ``what`` and the worst age."""
+    if np.any(p.values < 0):
+        worst = int(np.argmin(p.values))
         raise ValidationError(
-            f"attrition rate negative at age {mu.grid.nodes[worst]:g} "
-            f"({mu.values[worst]:g})"
+            f"{what} negative at age {p.grid.nodes[worst]:g} ({p.values[worst]:g})"
         )
 
 
@@ -143,7 +141,7 @@ def log_survival(mu: AgeProfile) -> np.ndarray:
 
     Sums against S are taken in log space, so no product over- or underflows.
     """
-    require_nonnegative_attrition(mu)
+    require_nonnegative(mu, "attrition rate")
     log_s = np.zeros(mu.grid.n + 1)
     log_s[1:] = -np.cumsum(np.log1p(mu.values[1:] * mu.grid.dz))
     return log_s
@@ -183,7 +181,7 @@ def discounted_tenure(mu: AgeProfile) -> np.ndarray:
     Summed in log space (:func:`_log_tail`), T stays finite for any attrition.
     exp(-M) is the scheme's survival (:func:`log_survival`) in the limit dz -> 0.
     """
-    require_nonnegative_attrition(mu)
+    require_nonnegative(mu, "attrition rate")
     dz = mu.grid.dz
     M = np.concatenate(([0.0], np.cumsum(mu.values[:-1]) * dz))
     weights = 0.5 * dz * (1.0 + np.exp(-np.diff(M)))
@@ -220,9 +218,8 @@ def _same_grid(p: AgeProfile, q: AgeProfile) -> None:
 
 def require_normalized(gamma: AgeProfile) -> None:
     """Reject hiring distributions that do not integrate to one."""
+    require_nonnegative(gamma, "hiring distribution")
     total = integrate(gamma)
-    if np.any(gamma.values < 0):
-        raise ValidationError("hiring distribution has negative entries")
     if not math.isfinite(total) or abs(total - 1.0) > _MASS_TOL:
         raise ValidationError(
             f"hiring distribution must integrate to 1 (got {total:.12g}); "

@@ -29,7 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import AgeGrid, AgeProfile, log_survival, _log_tail, _same_grid, _steady_shape
+from .numerics import (
+    AgeGrid,
+    AgeProfile,
+    log_survival,
+    require_nonnegative,
+    _log_tail,
+    _same_grid,
+    _steady_shape,
+)
 
 # Relative slack when hunting for tied minima of d (pure float noise).
 _TIE_REL = 1e-12
@@ -78,8 +86,7 @@ def optimizer_curves(wage: AgeProfile, mu: AgeProfile) -> OptimizerCurves:
     grid = wage.grid
     if grid.z_min <= 0:
         raise ValidationError("ages must be positive to use age as a knowledge proxy")
-    if np.any(wage.values < 0):
-        raise ValidationError("wage profile has negative entries")
+    require_nonnegative(wage, "wage profile")
     log_s = log_survival(mu)
     # dz * sum_{j=i..n-1} w_j S_j / S_{i-1} at node i; node 0 takes node 1's
     # value, as hires at z_min enter the first cell
@@ -172,8 +179,7 @@ def stationary_mixture(curves: OptimizerCurves, hire_density: AgeProfile) -> Age
     undercut the single-age optimum.
     """
     _same_grid(curves.wage, hire_density)
-    if np.any(hire_density.values < 0):
-        raise ValidationError("hiring density has negative entries")
+    require_nonnegative(hire_density, "hiring density")
     return _steady_shape(curves.log_s, hire_density)
 
 

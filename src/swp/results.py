@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .numerics import AgeGrid, AgeProfile, hire_source, l1_distance
+from .numerics import AgeGrid, AgeProfile, hire_source, l1_distance, require_nonnegative
 
 # Relative slack on the step bound, so a dt computed as the bound itself passes.
 _CFL_SLACK = 1e-12
@@ -60,9 +60,7 @@ class SimulationResult:
 
 
 def step_count(t_end: float, dt: float) -> int:
-    """Number of steps needed to reach t_end (last step may overshoot)."""
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValidationError(f"time step must be finite and positive, got {dt}")
+    """Steps of a valid dt (:func:`check_dt`) needed to reach t_end; the last may overshoot."""
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValidationError(f"end time must be finite and positive, got {t_end}")
     return max(math.ceil(t_end / dt - 1e-9), 1)
@@ -87,14 +85,21 @@ def snapshot_mask(n_steps: int, dt: float, snapshot_every: float | None) -> np.n
     return keep
 
 
-def check_dt(dt: float, grid: AgeGrid) -> None:
-    """Reject a step that is not positive or exceeds the stability bound dt <= dz."""
+def check_dt(dt: float, grid: AgeGrid) -> float:
+    """The margin max(0, 1 - dt/dz) of a stable step; reject any other step.
+
+    A step that is not positive (nan too) or exceeds the stability bound
+    dt <= dz (inf too) by more than its relative slack is rejected.  The
+    margin is the unused fraction of the stable step: 0 at the bound and
+    inside its slack, so it is never negative.
+    """
     if not (dt > 0):
         raise StepSizeError(f"time step must be positive, got {dt}")
     if dt > grid.dz * (1.0 + _CFL_SLACK):
         raise StepSizeError(
             f"time step {dt:g} violates the stability bound dt <= dz (requires dt <= {grid.dz:g})"
         )
+    return max(0.0, 1.0 - dt / grid.dz)
 
 
 def _stepper(mu: AgeProfile, gamma: AgeProfile, dt: float):
@@ -146,18 +151,16 @@ def march(
     buffers and swaps them every step, so ``rho`` handed to ``rate`` is only
     valid during that step.
 
-    Overflow does not warn.  The loop stops at the first step whose P or h
-    is not finite, and a run with any recorded value that is not finite is
-    rejected, naming the series and the first step where it fails; when
-    several fail first at the same step, the first in ``names`` is named.
-    A finite h < 0 stops the run at once, with the code ``negative-hiring``:
-    while h >= 0 the update keeps the density nonnegative, so h is the first
-    value of a run that can turn negative.
+    Overflow does not warn.  Each row is judged as it is recorded: the run
+    stops at the first value that is not finite, naming its series (the
+    first in ``names`` when several fail at that step) and its step.  Then
+    an h < 0 stops the run, with the code ``negative-hiring``: while h >= 0
+    the update keeps the density nonnegative, so h is the first value of a
+    run that can turn negative.
     """
     grid = rho0.grid
     check_dt(dt, grid)
-    if np.any(rho0.values < 0):
-        raise ValidationError("initial density has negative entries")
+    require_nonnegative(rho0, "initial density")
     n_steps = step_count(t_end, dt)
     keep = snapshot_mask(n_steps, dt, snapshot_every)
     update = _stepper(mu, gamma, dt)
@@ -171,30 +174,22 @@ def march(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
             rows.append(row := rate(rho))
-            if not (math.isfinite(row[0]) and math.isfinite(row[1])):
-                break
+            if not all(map(math.isfinite, row)):
+                name, value = next((n, v) for n, v in zip(names, row) if not math.isfinite(v))
+                raise ValidationError(f"{model} run is not finite: {name} is {value} "
+                                      f"at step {k} (t = {k * dt:g})")
             if row[1] < 0.0:
                 raise ValidationError(f"{model} run hires negatively: hiring is {row[1]:g} "
                                       f"at step {k} (t = {k * dt:g})", code="negative-hiring")
             if keep[k]:
                 snaps.append(AgeProfile(grid, rho))
-            if k == n_steps:
-                break
-            update(rho, row[1], spare[1:])
-            rho, spare = spare, rho
+            if k < n_steps:
+                update(rho, row[1], spare[1:])
+                rho, spare = spare, rho
 
-    times = np.arange(k + 1) * dt
+    times = np.arange(n_steps + 1) * dt
     series = dict(zip(names, np.array(rows).T.copy()))
-    first_bad = {name: int(np.argmin(np.isfinite(v))) for name, v in series.items()
-                 if not np.isfinite(v).all()}
-    if first_bad:
-        name = min(first_bad, key=first_bad.get)
-        step = first_bad[name]
-        raise ValidationError(
-            f"{model} run is not finite: {name} is {series[name][step]} at step {step} "
-            f"(t = {times[step]:g})"
-        )
-    return SimulationResult(model, grid, times, series, times[keep[:k + 1]], tuple(snaps))
+    return SimulationResult(model, grid, times, series, times[keep], tuple(snaps))
 
 
 def detect_steady_state(result: SimulationResult, tol: float = 1e-3) -> float | None:

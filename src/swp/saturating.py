@@ -42,7 +42,7 @@ from .numerics import (
     AgeProfile,
     discounted_tenure,
     integrate,
-    require_nonnegative_attrition,
+    require_nonnegative,
     require_normalized,
     steady_shape,
     _same_grid,
@@ -74,7 +74,7 @@ class SaturatingParams:
             raise ValidationError(f"saturation constant must be positive, got {alpha}")
         _same_grid(mu, gamma)
         require_normalized(gamma)
-        require_nonnegative_attrition(mu)
+        require_nonnegative(mu, "attrition rate")
         return SaturatingParams(float(alpha), mu, gamma)
 
 

@@ -245,12 +245,11 @@ def _build_scenario(doc: dict, base_dir: Path) -> Scenario:
 def cfl_margin(scenario: Scenario) -> tuple[float, float]:
     """(dt in effect, stability margin) for a saturating or budget scenario.
 
-    The margin is the unused fraction of the stable step, 1 - dt/dz;
-    nonnegative means stable.
+    The margin is the one :func:`swp.results.check_dt` returns.
     """
     if scenario.params is None:
         raise ValidationError(f"scenario models {scenario.model}, which takes no time steps")
-    return scenario.dt, 1.0 - scenario.dt / scenario.grid.dz
+    return scenario.dt, check_dt(scenario.dt, scenario.grid)
 
 
 def _resolve_profile(spec, grid: AgeGrid, base_dir: Path, path: str) -> AgeProfile:

@@ -172,7 +172,7 @@ class TestStepBudget:
 
     def test_negative_density_rejected(self, grid50):
         rho = constant_profile(grid50, 10.0)
-        with pytest.raises(ValidationError, match="initial density has negative entries"):
+        with pytest.raises(ValidationError, match="initial density negative at age"):
             one_step(flat_params(grid50), rho.with_values(rho.values - 10.5), 0.5)
 
     @pytest.mark.parametrize("call", ["one_step", "simulate_budget"])
@@ -423,15 +423,31 @@ class TestSimulateBudget:
         res = simulate_budget(par, constant_profile(grid50, 10.0), t_end=5.0)
         assert res.times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
-    def test_non_finite_series_rejected_after_the_run(self, scenarios_dir):
-        # w * rho^2 overflows for rho = 1e155, so every entropy value is inf
+    def test_non_finite_series_stops_the_run_before_its_first_update(
+        self, scenarios_dir, monkeypatch
+    ):
+        # w * rho^2 overflows for rho = 1e155, so the entropy is inf at step 0
         sc = swp.load_scenario(scenarios_dir / "bu-a-budget.json")
+        updates = []
+        stepper = swp.results._stepper
+
+        def counting_stepper(*args):
+            update = stepper(*args)
+            return lambda *a: updates.append(1) or update(*a)
+
+        monkeypatch.setattr(swp.results, "_stepper", counting_stepper)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=r"entropy is inf at step 0 \(t = 0\)"):
                 simulate_budget(
-                    sc.budget_params(), constant_profile(sc.grid, 1e155), dt=0.4, t_end=2.0
+                    sc.budget_params(), constant_profile(sc.grid, 1e155), dt=0.5, t_end=2000.0
                 )
+        assert len(updates) == 0
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    def test_non_finite_dt_rejected(self, grid50, dt):
+        with pytest.raises(StepSizeError):
+            simulate_budget(flat_params(grid50), constant_profile(grid50, 10.0), dt=dt, t_end=10.0)
 
     def test_aging_workforce_shrinks_under_flat_budget(self, scenarios_dir):
         sc = swp.load_scenario(scenarios_dir / "bu-b-budget.json")

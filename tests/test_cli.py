@@ -364,6 +364,13 @@ class TestValidateCommand:
         assert "initial headcount = 1000" in out
         assert "budget positivity assumption holds (worst margin 120.178 at age 20.5)" in out
 
+    def test_a_step_inside_the_slack_of_the_bound_has_margin_0(self, capsys, tmp_path, scenarios_dir):
+        doc = json.loads((scenarios_dir / "bu-a-saturating.json").read_text())
+        doc["time"]["dt"] = 1.0000000000004
+        code, out, _ = run(capsys, "validate", "--scenario", str(write_doc(tmp_path, doc)))
+        assert code == 0
+        assert "dt = 1, CFL margin = 0\n" in out
+
     def test_failing_positivity_assumption_warns_but_passes(self, capsys, tmp_path):
         doc = json.loads(json.dumps(BUDGET_DOC))
         doc["profiles"]["attrition"] = {"constant": 0.01}

@@ -20,6 +20,7 @@ from swp import (
     AgeProfile,
     BudgetParams,
     SaturatingParams,
+    ValidationError,
     build_grid,
     constant_profile,
     normalize_distribution,
@@ -356,3 +357,13 @@ def test_a_run_records_the_series_its_model_names(model):
     assert len(res.times) == 8
     for name, column in res.series.items():
         assert column.shape == (len(res.times),), name
+
+
+def test_a_run_stops_at_its_first_fault():
+    # the third value is inf at step 1, before hiring turns negative at step 3
+    g = build_grid(20.0, 70.0, 1.0)
+    rows = iter([(1.0, 0.0, 0.0), (1.0, 0.0, np.inf), (1.0, 0.0, 0.0), (1.0, -1.0, 0.0)])
+    with pytest.raises(ValidationError, match=r"not finite: extra is inf at step 1 \(t = 1\)"):
+        march("budget", constant_profile(g, 1.0), 1.0, 10.0, None, constant_profile(g, 0.1),
+              normalize_distribution(constant_profile(g, 1.0)), lambda rho: next(rows),
+              ("headcount", "hiring", "extra"))

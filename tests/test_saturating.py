@@ -223,7 +223,7 @@ class TestStepSaturating:
     def test_negative_density_rejected(self, grid50):
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
         rho = constant_profile(grid50, 10.0)
-        with pytest.raises(ValidationError, match="initial density has negative entries"):
+        with pytest.raises(ValidationError, match="initial density negative at age"):
             one_step(par, rho.with_values(rho.values - 10.5), 1.0)
 
     @pytest.mark.parametrize("call", ["one_step", "simulate_saturating"])
@@ -258,10 +258,16 @@ class TestSimulateSaturating:
         assert np.all(res.series["headcount"] == 0.0)
         assert np.all(res.final.values == 0.0)
 
-    @pytest.mark.parametrize("t_end, dt", [(np.inf, 1.0), (np.nan, 1.0), (10.0, np.inf), (10.0, np.nan)])
+    @pytest.mark.parametrize("t_end, dt", [(np.inf, 1.0), (np.nan, 1.0)])
     def test_step_count_rejects_non_finite(self, t_end, dt):
         with pytest.raises(ValidationError, match="finite and positive"):
             step_count(t_end, dt)
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    def test_non_finite_dt_rejected(self, grid50, dt):
+        par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
+        with pytest.raises(StepSizeError):
+            simulate_saturating(par, constant_profile(grid50, 1.0), dt=dt, t_end=10.0)
 
     def test_infinite_horizon_rejected(self, grid50):
         par = SaturatingParams.build(1e-6, constant_profile(grid50, 0.1), uniform_gamma(grid50, 20.0, 70.0))
